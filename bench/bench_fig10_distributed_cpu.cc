@@ -13,56 +13,11 @@
  * benchmarks (Hamming, Euler, NRSolver) scale poorly.
  */
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <random>
 
-#include "backend/execute.h"
 #include "bench_util.h"
 
 using namespace pytfhe;
-
-namespace {
-
-/**
- * Real threaded execution of the compiled binary on the functional
- * (plaintext) backend: wave-barrier interpreter vs the persistent
- * dependency-counting executor at 8 threads. Gate cost is ~ns here, so
- * this measures scheduling overhead — the part Algorithm 1's barriers and
- * per-wave thread churn add on top of the cluster model above.
- */
-void ExerciseLocalExecutor(const char* name, const pasm::Program& p,
-                           backend::Executor& executor) {
-    using Clock = std::chrono::steady_clock;
-    backend::PlainEvaluator eval;
-    std::mt19937_64 rng(1);
-    std::vector<bool> in(p.NumInputs());
-    for (size_t i = 0; i < in.size(); ++i) in[i] = rng() & 1;
-
-    backend::ExecOptions wave;
-    wave.num_threads = 8;
-    wave.mode = backend::ExecMode::kWaveBarrier;
-    backend::ExecOptions dep;
-    dep.num_threads = 8;
-    dep.mode = backend::ExecMode::kDependencyCounting;
-    dep.executor = &executor;
-
-    auto t0 = Clock::now();
-    const auto wave_out = backend::Execute(p, eval, in, wave);
-    const double wave_s = std::chrono::duration<double>(Clock::now() - t0)
-                              .count();
-    t0 = Clock::now();
-    const auto dep_out = backend::Execute(p, eval, in, dep);
-    const double dep_s = std::chrono::duration<double>(Clock::now() - t0)
-                             .count();
-    if (wave_out != dep_out)
-        std::printf("!! %s: executor output mismatch\n", name);
-    const double g = static_cast<double>(p.NumGates());
-    std::printf("%-16s %12.0f %12.0f %9.2fx\n", name, g / wave_s, g / dep_s,
-                wave_s / dep_s);
-}
-
-}  // namespace
 
 int main() {
     backend::ClusterConfig one_node;
@@ -77,14 +32,10 @@ int main() {
         double s1, s4;
     };
     std::vector<Row> rows;
-    // Programs small enough to also execute for real on local threads.
-    std::vector<std::pair<std::string, pasm::Program>> local_programs;
 
     const vip::BenchScale scale;
     for (const auto& w : vip::AllWorkloads(scale)) {
         const core::Compiled c = bench::CompileWorkload(w);
-        if (c.program.NumGates() < 100000)
-            local_programs.emplace_back(w.name, c.program);
         Row r;
         r.name = w.name;
         r.gates = c.program.NumGates();
@@ -119,14 +70,5 @@ int main() {
     }
     std::printf("\npaper: MNIST networks reach 17.4x (ideal 18) and 60.5x "
                 "(ideal 72); serial kernels stay near 1x.\n");
-
-    std::printf("\n=== Local functional execution at 8 threads: wave-barrier "
-                "vs dependency-counting executor ===\n");
-    std::printf("%-16s %12s %12s %9s\n", "benchmark", "wave g/s", "dep g/s",
-                "speedup");
-    bench::PrintRule(52);
-    backend::Executor executor;  // One pool shared across every program.
-    for (const auto& [name, program] : local_programs)
-        ExerciseLocalExecutor(name.c_str(), program, executor);
     return 0;
 }

@@ -22,9 +22,8 @@
  *
  * Safety of slot reuse is the plan's contract, enforced at pasm load time
  * (pasm/program.cc): values sharing a slot have disjoint live intervals,
- * dependency-counting executors add anti-dependency edges
- * (Program::BuildGateDependencies(plan)), and the wave-barrier path only
- * honors plans flagged level-safe.
+ * and the dependency-counting serving scheduler adds anti-dependency
+ * edges (Program::BuildGateDependencies(plan)).
  */
 #ifndef PYTFHE_BACKEND_ARENA_H
 #define PYTFHE_BACKEND_ARENA_H
@@ -203,7 +202,7 @@ class CiphertextArena {
 
 /**
  * Value storage of one program run behind a uniform interface:
- *   Reset(program, inputs[, use_plan]) — (re)shape and seed input slots;
+ *   Reset(program, inputs)            — (re)shape and seed input slots;
  *   Apply(eval, program, idx, scratch) — evaluate the gate at instruction
  *       idx into its slot;
  *   BatchItemFor(program, idx)        — assemble one batched-kernel item;
@@ -221,9 +220,8 @@ class ValuePlane {
     using C = typename Evaluator::Ciphertext;
     using BatchItem = BatchGate<C>;
 
-    void Reset(const pasm::Program& program, const std::vector<C>& inputs,
-               bool use_plan = true) {
-        plan_ = use_plan ? program.Plan() : nullptr;
+    void Reset(const pasm::Program& program, const std::vector<C>& inputs) {
+        plan_ = program.Plan();
         const uint64_t size = plan_
                                   ? plan_->num_slots
                                   : program.FirstGateIndex() +
@@ -348,9 +346,8 @@ class ValuePlane<Evaluator,
     using C = typename Evaluator::Ciphertext;
     using BatchItem = BatchGateView;
 
-    void Reset(const pasm::Program& program, const std::vector<C>& inputs,
-               bool use_plan = true) {
-        plan_ = use_plan ? program.Plan() : nullptr;
+    void Reset(const pasm::Program& program, const std::vector<C>& inputs) {
+        plan_ = program.Plan();
         const uint64_t slots = plan_
                                    ? plan_->num_slots
                                    : program.FirstGateIndex() +

@@ -104,9 +104,8 @@ struct DecodedCheckpoint {
 };
 
 /**
- * Execution state reconstructed from a cut: enough to restart any
- * dispatcher (sequential skip-loop, dependency-counting executor,
- * serving pickers) past the done set.
+ * Execution state reconstructed from a cut: enough to restart the
+ * serving scheduler's dependency counters past the done set.
  */
 struct ResumeState {
     std::vector<uint8_t> done;     ///< Per gate ordinal: already executed.
@@ -338,6 +337,38 @@ void RestoreCheckpoint(
         plane.RestoreValue(idx, value);
     for (const auto& [idx, digit] : decoded.digits)
         plane.RestoreDigit(idx, digit);
+}
+
+/**
+ * Decodes the record held in `store` for `program`, verifying the frame,
+ * the fingerprint and that the cut kind may resume under the program's
+ * plan. Returns nullopt for a null or empty store. A verified record is
+ * counted in stats->resumes / gates_resumed; one that fails verification
+ * is cleared from the store and counted in stats->corrupt_discarded —
+ * a bad checkpoint costs time, never correctness. A ciphertext type
+ * without a codec cannot resume, so its store is simply cleared.
+ */
+template <typename C>
+std::optional<DecodedCheckpoint<C>> DecodeStoredCheckpoint(
+    const pasm::Program& program, JobCheckpoint* store,
+    CheckpointRunStats* stats) {
+    if (store == nullptr || store->Empty()) return std::nullopt;
+    if constexpr (CiphertextCodec<C>::kSupported) {
+        std::string error;
+        std::optional<DecodedCheckpoint<C>> decoded = DecodeCheckpoint<C>(
+            store->record, ProgramFingerprint(program),
+            program.FirstGateIndex() + program.NumGates(), &error);
+        if (decoded && CutValidForProgram(decoded->cut, program)) {
+            if (stats) {
+                ++stats->resumes;
+                stats->gates_resumed += decoded->gates_completed;
+            }
+            return decoded;
+        }
+        if (stats) ++stats->corrupt_discarded;
+    }
+    store->Clear();
+    return std::nullopt;
 }
 
 }  // namespace pytfhe::backend

@@ -3,76 +3,61 @@
  * backend::Execute — the single documented entry point for functional
  * program execution.
  *
- * The repo grew three functional paths (RunProgram, RunProgramThreaded,
- * Executor::Run) with three call conventions. Execute unifies them behind
- * one options struct; interpreter.h documents exactly which path each
- * option combination selects. The underlying entry points remain public
- * (tests and ablation benchmarks compare them directly), but application
- * code should go through Execute.
+ * Local execution has two disciplines. One thread without batching runs
+ * the sequential reference interpreter (interpreter.h); everything else
+ * runs the program as one job on the serving scheduler (serving.h), the
+ * only concurrent engine. Algorithm 1's wave-barrier schedule is a cost
+ * model for clusters and GPUs and lives in cluster_sim.h / gpu_sim.h.
  */
 #ifndef PYTFHE_BACKEND_EXECUTE_H
 #define PYTFHE_BACKEND_EXECUTE_H
 
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "backend/checkpoint.h"
 #include "backend/executor.h"
 #include "backend/interpreter.h"
+#include "backend/serving.h"
 
 namespace pytfhe::backend {
-
-/** Which functional execution substrate Execute dispatches to. */
-enum class ExecMode {
-    /** num_threads == 1 -> sequential, else dependency counting. */
-    kAuto,
-    /** In-order sequential interpretation (RunProgram). */
-    kSequential,
-    /** Per-wave barrier threads (RunProgramThreaded); legacy reference. */
-    kWaveBarrier,
-    /** Persistent-pool dependency counting (Executor::Run). */
-    kDependencyCounting,
-};
 
 /**
  * Options for one Execute call. `executor` optionally names a caller-owned
  * persistent Executor whose worker pool the run reuses (recommended for
- * repeated runs — a null executor makes the dependency-counting path spin
- * up and tear down a transient pool per call). `control` carries the
- * cooperative deadline/cancel token; the wave-barrier path predates
- * RunControl and rejects an engaged control with std::invalid_argument.
- * `fault` optionally names a FaultInjector (fault.h) plus the (job,
- * attempt) identity of this execution; every path honors it, and a
- * disengaged hook costs one branch per gate.
+ * repeated runs — a null executor makes a concurrent run spin up and tear
+ * down a transient pool per call). `control` carries the cooperative
+ * deadline/cancel token. `fault` optionally names a FaultInjector (fault.h)
+ * plus the (job, attempt) identity of this execution; both engines honor
+ * it identically, and a disengaged hook costs one branch per gate.
  */
 struct ExecOptions {
     int32_t num_threads = 1;
-    ExecMode mode = ExecMode::kAuto;
     Executor* executor = nullptr;
     RunControl control;
     FaultHook fault;
     /**
      * Maximum simultaneously ready gates fused into one batched bootstrap
-     * kernel call (executor.h; evaluators opt in via ApplyBatch — others
-     * run the batch gate-by-gate). 1 disables batching. batch_size > 1
-     * routes even single-threaded runs through the dependency-counting
-     * executor, since only its ready set exposes batchable groups; outputs
-     * stay bit-identical to the sequential path. The wave-barrier legacy
-     * path ignores batching and rejects batch_size > 1.
+     * kernel call (evaluators opt in via ApplyBatch — others run the batch
+     * gate-by-gate). 1 disables batching. batch_size > 1 routes even
+     * single-threaded runs to the serving scheduler, since only its ready
+     * set exposes batchable groups; outputs stay bit-identical to the
+     * sequential path.
      */
     int32_t batch_size = 1;
     /**
      * Checkpoint/resume (checkpoint.h). With a non-null caller-owned
      * `checkpoint_store`, a run that finds a valid record there restores
-     * the snapshot and executes only the gates past the cut — on every
-     * path; a corrupt or mismatched record is cleared, counted, and the
+     * the snapshot and executes only the gates past the cut — on either
+     * engine; a corrupt or mismatched record is cleared, counted, and the
      * run re-executes from scratch. Capture (`checkpoint` policy) runs on
      * the sequential path, which owns an ordinal quiesce point by
-     * construction; threaded paths consume checkpoints but do not take
-     * them — the serving executor is the concurrent producer. The store
-     * is left intact after a successful run; clearing it is the caller's
-     * retry-loop decision.
+     * construction; a concurrent run consumes a checkpoint but does not
+     * take one. The store is left intact after a successful run; clearing
+     * it is the caller's retry-loop decision.
      */
     CheckpointPolicy checkpoint;
     JobCheckpoint* checkpoint_store = nullptr;
@@ -80,12 +65,18 @@ struct ExecOptions {
 };
 
 /**
- * Executes `program` over `inputs` with `eval`, dispatching per `options`
- * (see ExecMode and the path table in interpreter.h). All paths produce
- * bit-identical outputs. Throws std::invalid_argument on malformed
- * arguments, CancelledError / DeadlineExceededError on control aborts,
- * and GateExecutionError when a gate evaluation throws (every path fails
- * the run cleanly — worker threads are joined, pools stay reusable).
+ * Executes `program` over `inputs` with `eval`. num_threads == 1 with
+ * batch_size == 1 runs the sequential reference (RunProgram, or
+ * RunProgramCheckpointed when a checkpoint store is given). Otherwise the
+ * program runs as one job on a ServingExecutor over `options.executor` (or
+ * a transient pool) with num_threads workers, the given batch size, a
+ * per-job in-flight cap of num_threads × batch_size — so the lone job may
+ * occupy every worker — and admission bounds of one; the call waits for
+ * the job. Both engines produce bit-identical outputs.
+ *
+ * Throws std::invalid_argument on malformed arguments, CancelledError /
+ * DeadlineExceededError on control aborts, and GateExecutionError when a
+ * gate evaluation throws (the run fails cleanly; the pool stays reusable).
  */
 template <typename Evaluator>
 std::vector<typename Evaluator::Ciphertext> Execute(
@@ -93,14 +84,11 @@ std::vector<typename Evaluator::Ciphertext> Execute(
     const std::vector<typename Evaluator::Ciphertext>& inputs,
     const ExecOptions& options = {}) {
     using C = typename Evaluator::Ciphertext;
+    detail::ValidateRunArgs(program, inputs.size(), options.num_threads);
     if (options.batch_size < 1)
         throw std::invalid_argument("Execute: batch_size must be >= 1, got " +
                                     std::to_string(options.batch_size));
-    const bool sequential =
-        options.mode == ExecMode::kSequential ||
-        (options.mode == ExecMode::kAuto && options.num_threads == 1 &&
-         options.batch_size <= 1);
-    if (sequential) {
+    if (options.num_threads == 1 && options.batch_size == 1) {
         if (options.checkpoint_store != nullptr)
             return RunProgramCheckpointed(
                 program, eval, inputs, options.checkpoint,
@@ -109,56 +97,31 @@ std::vector<typename Evaluator::Ciphertext> Execute(
         return RunProgram(program, eval, inputs, options.control,
                           options.fault);
     }
-    // Threaded paths consume a stored checkpoint (decode + verify here,
-    // restore inside the dispatcher) but never capture one.
-    std::optional<DecodedCheckpoint<C>> resume;
-    if (options.checkpoint_store != nullptr &&
-        !options.checkpoint_store->Empty()) {
-        if constexpr (CiphertextCodec<C>::kSupported) {
-            std::string error;
-            resume = DecodeCheckpoint<C>(
-                options.checkpoint_store->record, ProgramFingerprint(program),
-                program.FirstGateIndex() + program.NumGates(), &error);
-            if (resume && !CutValidForProgram(resume->cut, program))
-                resume.reset();
-            if (resume) {
-                if (options.checkpoint_stats) {
-                    ++options.checkpoint_stats->resumes;
-                    options.checkpoint_stats->gates_resumed +=
-                        resume->gates_completed;
-                }
-            } else {
-                options.checkpoint_store->Clear();
-                if (options.checkpoint_stats)
-                    ++options.checkpoint_stats->corrupt_discarded;
-            }
-        } else {
-            options.checkpoint_store->Clear();
-        }
-    }
-    const DecodedCheckpoint<C>* resume_ptr = resume ? &*resume : nullptr;
-    if (options.mode == ExecMode::kWaveBarrier) {
-        if (options.control.Engaged())
-            throw std::invalid_argument(
-                "Execute: the wave-barrier path does not support "
-                "RunControl; use kDependencyCounting or kSequential");
-        if (options.batch_size > 1)
-            throw std::invalid_argument(
-                "Execute: the wave-barrier path does not support "
-                "batching; use kDependencyCounting");
-        return RunProgramThreaded(program, eval, inputs,
-                                  options.num_threads, options.fault,
-                                  resume_ptr);
-    }
-    if (options.executor != nullptr)
-        return options.executor->Run(program, eval, inputs,
-                                     options.num_threads, options.control,
-                                     options.fault, options.batch_size,
-                                     resume_ptr);
-    Executor transient;
-    return transient.Run(program, eval, inputs, options.num_threads,
-                         options.control, options.fault, options.batch_size,
-                         resume_ptr);
+    const std::optional<DecodedCheckpoint<C>> resume =
+        DecodeStoredCheckpoint<C>(program, options.checkpoint_store,
+                                  options.checkpoint_stats);
+
+    ServingOptions engine;
+    engine.num_workers = options.num_threads;
+    engine.batch_size = options.batch_size;
+    engine.per_job_inflight_cap =
+        static_cast<uint32_t>(options.num_threads) *
+        static_cast<uint32_t>(options.batch_size);
+    engine.max_active_jobs = 1;
+    engine.max_pending_jobs = 1;
+    typename ServingExecutor<Evaluator>::SubmitOptions submit;
+    submit.control = options.control;
+    submit.fault = options.fault;
+    submit.resume = resume ? &*resume : nullptr;
+
+    std::optional<Executor> transient;
+    Executor& pool =
+        options.executor != nullptr ? *options.executor : transient.emplace();
+    ServingExecutor<Evaluator> serving(pool, engine);
+    // The job borrows the caller's program: the call outlives the job.
+    const std::shared_ptr<const pasm::Program> borrowed(
+        std::shared_ptr<const pasm::Program>(), &program);
+    return serving.Submit(borrowed, eval, inputs, submit)->Outputs();
 }
 
 }  // namespace pytfhe::backend

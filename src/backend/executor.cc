@@ -2,7 +2,7 @@
 
 namespace pytfhe::backend {
 
-ThreadPool::~ThreadPool() {
+Executor::~Executor() {
     {
         std::lock_guard<std::mutex> lock(mu_);
         shutdown_ = true;
@@ -11,17 +11,17 @@ ThreadPool::~ThreadPool() {
     for (auto& t : threads_) t.join();
 }
 
-int32_t ThreadPool::NumWorkers() const {
+int32_t Executor::NumWorkers() const {
     std::lock_guard<std::mutex> lock(mu_);
     return static_cast<int32_t>(threads_.size());
 }
 
-void ThreadPool::EnsureWorkersLocked(int32_t n) {
+void Executor::EnsureWorkersLocked(int32_t n) {
     while (static_cast<int32_t>(threads_.size()) < n)
         threads_.emplace_back([this] { WorkerLoop(); });
 }
 
-void ThreadPool::RunOnWorkers(int32_t workers,
+void Executor::RunOnWorkers(int32_t workers,
                               const std::function<void()>& fn) {
     if (workers <= 0) {
         fn();
@@ -48,7 +48,7 @@ void ThreadPool::RunOnWorkers(int32_t workers,
     job_ = nullptr;
 }
 
-void ThreadPool::WorkerLoop() {
+void Executor::WorkerLoop() {
     uint64_t seen = 0;
     std::unique_lock<std::mutex> lock(mu_);
     while (true) {

@@ -1,33 +1,22 @@
 /**
  * @file
- * Persistent dependency-counting executor.
+ * Persistent worker pool that local concurrent execution runs on.
  *
- * The wave-barrier interpreter (RunProgramThreaded) spawns fresh threads
- * per wave and makes every gate wait for the slowest gate in its level.
- * The Executor keeps one worker pool alive across waves and across program
- * runs, and schedules by dependency counting instead of levels: each gate
- * carries a remaining-predecessor count, workers pop ready gates from a
- * shared queue, and finishing a gate decrements its successors' counts —
- * a gate starts the moment its inputs exist. The wave Schedule remains the
- * reference discipline consumed by the cluster/GPU simulators; this is the
- * substrate local execution actually runs on.
+ * An Executor keeps its threads alive across calls, so repeated runs pay
+ * thread creation once. It is the substrate of the serving scheduler
+ * (serving.h), which holds one parallel region for its whole lifetime;
+ * backend::Execute (execute.h) stands one up per call on a caller-owned
+ * Executor or a transient one.
  */
 #ifndef PYTFHE_BACKEND_EXECUTOR_H
 #define PYTFHE_BACKEND_EXECUTOR_H
 
-#include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
-
-#include "backend/interpreter.h"
-#include "pasm/program.h"
 
 namespace pytfhe::backend {
 
@@ -35,19 +24,21 @@ namespace pytfhe::backend {
  * A persistent pool of worker threads that execute "parallel regions":
  * RunOnWorkers(n, fn) runs `fn` on n pool workers plus the calling thread
  * and returns when all participants finish. Workers are created on demand,
- * kept across calls (no per-wave thread churn), and joined on destruction.
+ * kept across calls (no per-run thread churn), and joined on destruction.
+ * One Executor per server (or per process) amortizes thread creation.
  */
-class ThreadPool {
+class Executor {
   public:
-    ThreadPool() = default;
-    ~ThreadPool();
-    ThreadPool(const ThreadPool&) = delete;
-    ThreadPool& operator=(const ThreadPool&) = delete;
+    Executor() = default;
+    ~Executor();
+    Executor(const Executor&) = delete;
+    Executor& operator=(const Executor&) = delete;
 
     /**
      * Runs `fn` concurrently on `workers` pool threads and on the calling
      * thread; blocks until every participant has returned. `workers == 0`
-     * degenerates to a plain inline call.
+     * degenerates to a plain inline call. Concurrent callers are
+     * serialized: one region runs at a time.
      */
     void RunOnWorkers(int32_t workers, const std::function<void()>& fn);
 
@@ -69,356 +60,6 @@ class ThreadPool {
     int32_t started_ = 0;
     int32_t finished_ = 0;
     bool shutdown_ = false;
-};
-
-namespace detail {
-
-/** Sentinel for "no gate held locally" in the worker loop. */
-inline constexpr uint64_t kNoGate = ~UINT64_C(0);
-
-/**
- * Shared ready-queue with completion-count termination: Pop blocks until a
- * gate is available or every gate in the program has been executed.
- */
-class ReadyQueue {
-  public:
-    ReadyQueue(std::vector<uint64_t> initial, uint64_t total_gates)
-        : ready_(std::move(initial)), remaining_(total_gates) {}
-
-    void Push(uint64_t idx) {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            ready_.push_back(idx);
-        }
-        cv_.notify_one();
-    }
-
-    /** Returns false once all gates have executed and the queue drained. */
-    bool Pop(uint64_t* idx) {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [&] { return !ready_.empty() || remaining_ == 0; });
-        if (ready_.empty()) return false;
-        *idx = ready_.back();
-        ready_.pop_back();
-        return true;
-    }
-
-    /**
-     * Pops up to `max_batch` ready gates in FIFO order (from the front).
-     * The single-gate Pop keeps its stack discipline — popping the
-     * most-recently published successor is the cache-friendly order for
-     * one-gate-at-a-time workers and preserves the batch_size == 1
-     * behavior exactly. Batches are served oldest-first instead: gates of
-     * one level that became ready together stay adjacent and land in one
-     * kernel call, rather than being interleaved with successors pushed
-     * while the batch accumulated.
-     */
-    bool PopBatch(std::vector<uint64_t>* out, int32_t max_batch) {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [&] { return !ready_.empty() || remaining_ == 0; });
-        if (ready_.empty()) return false;
-        const size_t k = std::min(ready_.size(),
-                                  static_cast<size_t>(max_batch));
-        out->assign(ready_.begin(), ready_.begin() + k);
-        ready_.erase(ready_.begin(), ready_.begin() + k);
-        return true;
-    }
-
-    /** Records one executed gate; wakes all waiters when none remain. */
-    void MarkDone() {
-        std::unique_lock<std::mutex> lock(mu_);
-        if (--remaining_ == 0) {
-            lock.unlock();
-            cv_.notify_all();
-        }
-    }
-
-  private:
-    std::mutex mu_;
-    std::condition_variable cv_;
-    std::vector<uint64_t> ready_;
-    uint64_t remaining_;
-};
-
-}  // namespace detail
-
-/**
- * Reusable program executor: owns a persistent ThreadPool and runs
- * programs with dependency-counting scheduling. One Executor per server
- * (or per process) amortizes thread creation over every Run call.
- * The evaluator's Apply must be safe to call concurrently.
- */
-class Executor {
-  public:
-    Executor() = default;
-
-    /**
-     * Executes `program` on `inputs` with `num_threads` total workers
-     * (including the calling thread). num_threads == 1 bypasses scheduling
-     * entirely and runs the sequential interpreter; results are
-     * bit-identical either way. Throws std::invalid_argument on input
-     * count mismatch or num_threads < 1, and CancelledError /
-     * DeadlineExceededError when `control` triggers mid-run (workers stop
-     * evaluating and drain the remaining dependency counts without
-     * touching the evaluator, so an aborted run returns promptly).
-     *
-     * A gate evaluation that throws — a real evaluator exception or a
-     * fault injected through `fault` — fails only this Run call: the
-     * first error is latched, every worker drains the remaining counts
-     * without evaluating, and the call rethrows the typed
-     * GateExecutionError. The pool stays healthy; subsequent Run calls
-     * on this Executor behave normally.
-     *
-     * batch_size > 1 turns on batch-aware dispatch: each worker pops up
-     * to batch_size simultaneously ready gates (FIFO within the ready
-     * set), groups the bootstrapped ones into one ApplyBatch kernel call
-     * when the evaluator supports it (detail::kSupportsApplyBatch), and
-     * runs linear/NOT gates on the scalar fast path. Fault hooks fire per
-     * gate: a gate faulted inside a batch is excluded from the kernel and
-     * attributed individually, and a throwing kernel falls back to
-     * per-gate scalar evaluation so the error names the right gate.
-     * Results are bit-identical to batch_size == 1 for every evaluator.
-     *
-     * `resume` optionally names a decoded checkpoint (frame already
-     * verified by the caller): the snapshotted values are restored into
-     * the plane and the dependency counters start past the cut, so only
-     * the gates beyond it execute. Capture is not supported here — the
-     * standalone executor has no quiesce point; checkpoints come from
-     * the sequential interpreter or the serving executor.
-     */
-    template <typename Evaluator>
-    std::vector<typename Evaluator::Ciphertext> Run(
-        const pasm::Program& program, Evaluator& eval,
-        const std::vector<typename Evaluator::Ciphertext>& inputs,
-        int32_t num_threads, const RunControl& control = {},
-        const FaultHook& fault = {}, int32_t batch_size = 1,
-        const DecodedCheckpoint<typename Evaluator::Ciphertext>* resume =
-            nullptr) {
-        detail::ValidateRunArgs(program, inputs.size(), num_threads);
-        if (((num_threads == 1 && batch_size <= 1) ||
-             program.NumGates() <= 1) &&
-            resume == nullptr)
-            return RunProgram(program, eval, inputs, control, fault);
-
-        // Plan-aware dependencies: anti-dependency edges serialize every
-        // reader of a slot before its overwriter, so any valid memory plan
-        // is safe under dependency counting (and hazardous pairs are never
-        // simultaneously ready, hence never co-batched).
-        const pasm::GateDependencies deps =
-            program.BuildGateDependencies(program.Plan());
-        const uint64_t first_gate = program.FirstGateIndex();
-
-        ValuePlane<Evaluator> plane;
-        plane.Reset(program, inputs);
-
-        // Remaining-predecessor counts, one atomic per gate. The final
-        // decrement of a gate's count transfers ownership of its inputs to
-        // the thread that saw zero, hence acq_rel below.
-        std::vector<std::atomic<uint32_t>> pending(program.NumGates());
-        std::vector<uint64_t> roots;
-        uint64_t remaining = program.NumGates();
-        if (resume != nullptr) {
-            RestoreCheckpoint(plane, *resume);
-            ResumeState state = BuildResumeState(program, deps, resume->cut,
-                                                 resume->boundary);
-            for (uint64_t g = 0; g < program.NumGates(); ++g)
-                pending[g].store(state.pending[g],
-                                 std::memory_order_relaxed);
-            roots = std::move(state.ready);
-            remaining = state.remaining;
-        } else {
-            for (uint64_t g = 0; g < program.NumGates(); ++g)
-                pending[g].store(deps.pred_count[g],
-                                 std::memory_order_relaxed);
-            roots = deps.RootGates();
-        }
-
-        detail::ReadyQueue queue(std::move(roots), remaining);
-
-        // Abort reason, latched once by whichever worker first observes the
-        // control trigger; every worker then drains without evaluating.
-        // Likewise the first gate failure: latch, drain, rethrow after the
-        // region so the pool survives a throwing evaluator.
-        const bool guarded = control.Engaged();
-        // Injected stalls honor this run's cancel/deadline token.
-        FaultHook hook = fault;
-        if (hook.control == nullptr) hook.control = &control;
-        std::atomic<RunControl::Abort> abort{RunControl::Abort::kNone};
-        std::atomic<bool> failed{false};
-        std::mutex error_mu;
-        std::optional<GateExecutionError> error;
-
-        auto worker = [&]() {
-            // Per-worker scratch: buffers live for the whole run, so every
-            // gate after the first on this thread is allocation-free.
-            typename detail::WorkerScratchOf<Evaluator>::type scratch{};
-            uint64_t idx = detail::kNoGate;
-            while (idx != detail::kNoGate || queue.Pop(&idx)) {
-                bool skip = failed.load(std::memory_order_relaxed);
-                if (!skip && guarded) {
-                    skip = abort.load(std::memory_order_relaxed) !=
-                           RunControl::Abort::kNone;
-                    if (!skip) {
-                        const RunControl::Abort a = control.Check();
-                        if (a != RunControl::Abort::kNone) {
-                            abort.store(a, std::memory_order_relaxed);
-                            skip = true;
-                        }
-                    }
-                }
-                if (!skip) {
-                    try {
-                        hook.OnGate(idx - first_gate);
-                        plane.Apply(eval, program, idx, scratch);
-                    } catch (...) {
-                        try {
-                            RethrowAsGateError(idx - first_gate,
-                                               fault.attempt);
-                        } catch (const GateExecutionError& e) {
-                            std::lock_guard<std::mutex> lock(error_mu);
-                            if (!error) error = e;
-                        }
-                        failed.store(true, std::memory_order_relaxed);
-                    }
-                }
-                // Decrement successors; run one newly ready gate ourselves
-                // (depth-first along the chain, no queue round-trip) and
-                // publish the rest.
-                uint64_t next = detail::kNoGate;
-                const auto [s, e] = deps.SuccessorsOf(idx);
-                for (const uint64_t* p = s; p != e; ++p) {
-                    if (pending[*p - first_gate].fetch_sub(
-                            1, std::memory_order_acq_rel) == 1) {
-                        if (next == detail::kNoGate) {
-                            next = *p;
-                        } else {
-                            queue.Push(*p);
-                        }
-                    }
-                }
-                queue.MarkDone();
-                idx = next;
-            }
-        };
-
-        // Batch-aware worker: pops up to batch_size ready gates at once,
-        // fuses the batchable bootstraps into one kernel call, and
-        // publishes every newly ready successor (no depth-first chaining —
-        // a full ready set is what makes the next batch wide).
-        auto batch_worker = [&]() {
-            typename detail::WorkerScratchOf<Evaluator>::type scratch{};
-            typename detail::BatchScratchOf<Evaluator>::type batch_scratch{};
-            (void)batch_scratch;
-            std::vector<uint64_t> batch;
-            std::vector<uint64_t> kernel_gates;
-            std::vector<typename ValuePlane<Evaluator>::BatchItem> items;
-            auto run_scalar = [&](uint64_t idx) {
-                plane.Apply(eval, program, idx, scratch);
-            };
-            auto latch = [&](uint64_t idx) {
-                try {
-                    RethrowAsGateError(idx - first_gate, fault.attempt);
-                } catch (const GateExecutionError& e) {
-                    std::lock_guard<std::mutex> lock(error_mu);
-                    if (!error) error = e;
-                }
-                failed.store(true, std::memory_order_relaxed);
-            };
-            while (queue.PopBatch(&batch, batch_size)) {
-                bool skip = failed.load(std::memory_order_relaxed);
-                if (!skip && guarded) {
-                    skip = abort.load(std::memory_order_relaxed) !=
-                           RunControl::Abort::kNone;
-                    if (!skip) {
-                        const RunControl::Abort a = control.Check();
-                        if (a != RunControl::Abort::kNone) {
-                            abort.store(a, std::memory_order_relaxed);
-                            skip = true;
-                        }
-                    }
-                }
-                if (!skip) {
-                    kernel_gates.clear();
-                    // Per-gate fault hooks and the scalar fast path; a
-                    // faulted gate is latched individually and never
-                    // reaches the kernel, so later gates in this batch and
-                    // every other batch drain cleanly.
-                    for (uint64_t idx : batch) {
-                        if (failed.load(std::memory_order_relaxed)) break;
-                        const pasm::DecodedGate g = program.GateAt(idx);
-                        bool batchable = false;
-                        if constexpr (detail::kSupportsApplyBatch<Evaluator>)
-                            batchable = Evaluator::Batchable(g.type);
-                        try {
-                            hook.OnGate(idx - first_gate);
-                            if (batchable) {
-                                kernel_gates.push_back(idx);
-                            } else {
-                                run_scalar(idx);
-                            }
-                        } catch (...) {
-                            latch(idx);
-                        }
-                    }
-                    if constexpr (detail::kSupportsApplyBatch<Evaluator>) {
-                        if (!kernel_gates.empty() &&
-                            !failed.load(std::memory_order_relaxed)) {
-                            items.resize(kernel_gates.size());
-                            for (size_t i = 0; i < kernel_gates.size(); ++i)
-                                items[i] = plane.BatchItemFor(
-                                    program, kernel_gates[i]);
-                            try {
-                                eval.ApplyBatch(
-                                    items.data(),
-                                    static_cast<int32_t>(items.size()),
-                                    batch_scratch);
-                            } catch (...) {
-                                // Attribute precisely: replay each gate
-                                // scalar so the latched error names the
-                                // gate that actually fails.
-                                for (uint64_t idx : kernel_gates) {
-                                    try {
-                                        run_scalar(idx);
-                                    } catch (...) {
-                                        latch(idx);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                for (uint64_t idx : batch) {
-                    const auto [s, e] = deps.SuccessorsOf(idx);
-                    for (const uint64_t* p = s; p != e; ++p) {
-                        if (pending[*p - first_gate].fetch_sub(
-                                1, std::memory_order_acq_rel) == 1)
-                            queue.Push(*p);
-                    }
-                    queue.MarkDone();
-                }
-            }
-        };
-
-        const int32_t workers = static_cast<int32_t>(std::min<uint64_t>(
-            num_threads - 1, program.NumGates() - 1));
-        const std::function<void()> fn =
-            batch_size > 1 ? std::function<void()>(batch_worker)
-                           : std::function<void()>(worker);
-        pool_.RunOnWorkers(workers, fn);
-
-        if (error) throw *error;
-        const RunControl::Abort reason =
-            abort.load(std::memory_order_relaxed);
-        if (reason != RunControl::Abort::kNone) RunControl::Raise(reason);
-
-        return plane.Harvest(program);
-    }
-
-    /** The underlying pool, exposed for reuse by other parallel backends. */
-    ThreadPool& pool() { return pool_; }
-
-  private:
-    ThreadPool pool_;
 };
 
 }  // namespace pytfhe::backend

@@ -65,7 +65,8 @@ bool FaultInjector::WouldFault(uint64_t job, uint32_t attempt,
 
 void FaultInjector::OnGate(uint64_t job, uint32_t attempt,
                            uint64_t gate_ordinal,
-                           const RunControl* control) {
+                           const RunControl* control,
+                           const std::atomic<bool>* interrupt) {
     if (plan_.stall_rate > 0.0 &&
         Unit(SiteHash(plan_.seed, job, gate_ordinal, kSaltStall)) <
             plan_.stall_rate) {
@@ -74,7 +75,10 @@ void FaultInjector::OnGate(uint64_t job, uint32_t attempt,
             std::chrono::duration_cast<std::chrono::microseconds>(
                 std::chrono::duration<double, std::micro>(
                     plan_.stall_microseconds));
-        if (control == nullptr || !control->Engaged()) {
+        const bool engaged =
+            interrupt != nullptr ||
+            (control != nullptr && control->Engaged());
+        if (!engaged) {
             std::this_thread::sleep_for(total);
         } else {
             // Cooperative stall: sleep in short slices so a cancelled or
@@ -83,7 +87,10 @@ void FaultInjector::OnGate(uint64_t job, uint32_t attempt,
             constexpr auto kSlice = std::chrono::milliseconds(1);
             auto remaining = total;
             while (remaining.count() > 0 &&
-                   control->Check() == RunControl::Abort::kNone) {
+                   (interrupt == nullptr ||
+                    !interrupt->load(std::memory_order_relaxed)) &&
+                   (control == nullptr ||
+                    control->Check() == RunControl::Abort::kNone)) {
                 const auto step = remaining < kSlice
                                       ? remaining
                                       : std::chrono::microseconds(kSlice);

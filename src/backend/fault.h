@@ -194,10 +194,13 @@ class FaultInjector {
      * `control` makes injected stalls cooperative: the sleep runs in
      * <= 1 ms slices and stops early once the control reports an abort
      * (cancel raised or deadline passed), so an abandoned run is not
-     * pinned down by its own injected stragglers.
+     * pinned down by its own injected stragglers. A non-null `interrupt`
+     * is a second flag with the same effect on the sleep (the serving
+     * scheduler's per-job abort hint); it never causes an error itself.
      */
     void OnGate(uint64_t job, uint32_t attempt, uint64_t gate_ordinal,
-                const RunControl* control = nullptr);
+                const RunControl* control = nullptr,
+                const std::atomic<bool>* interrupt = nullptr);
 
     /**
      * Pure decision: would this site fault at this attempt? Sets

@@ -1,44 +1,34 @@
 /**
  * @file
- * Program interpreters: run a PyTFHE binary against any evaluator.
+ * The sequential reference interpreter: run a PyTFHE binary against any
+ * evaluator, one gate at a time in instruction order (indices are
+ * topological by construction).
  *
- * RunProgram executes single-threaded in instruction order (indices are
- * topological by construction). RunProgramThreaded executes the BFS
- * schedule with worker threads synchronized per wave — the same discipline
- * the distributed backend uses, on local threads; it is kept as the
- * reference implementation of Algorithm 1 and as the comparison baseline
- * for the dependency-counting Executor (executor.h), which production
- * paths use instead. Both are the *functional* backends; wall-clock
- * modeling of clusters/GPUs lives in cluster_sim.h and gpu_sim.h.
+ * RunProgram is the bit-exact reference every other configuration is
+ * checked against; RunProgramCheckpointed adds checkpoint capture and
+ * resume. Concurrent execution is the serving scheduler (serving.h), and
+ * wall-clock models of Algorithm 1's wave-barrier discipline on clusters
+ * and GPUs live in cluster_sim.h and gpu_sim.h.
  *
- * Prefer the unified dispatcher backend::Execute (execute.h) over calling
- * these entry points directly. Its ExecOptions select the path:
- *   - mode == kSequential, or kAuto with num_threads == 1
- *       -> RunProgram (this file): in-order interpretation, bit-identical
- *          reference results, RunControl honored per gate.
- *   - mode == kWaveBarrier
- *       -> RunProgramThreaded (this file): per-wave barrier, fresh threads
- *          each wave; legacy Algorithm-1 reference. No RunControl support.
- *   - mode == kDependencyCounting, or kAuto with num_threads > 1
- *       -> Executor::Run (executor.h): persistent pool, gates start the
- *          moment their inputs exist, RunControl honored per gate. Passing
- *          ExecOptions::executor reuses a caller-owned pool; otherwise a
- *          transient pool is created for the call.
- * Multi-job serving (many programs interleaved on one pool) is a separate
- * substrate: backend/serving.h.
+ * Prefer the dispatcher backend::Execute (execute.h) over calling these
+ * entry points directly. Its ExecOptions select the engine:
+ *   - num_threads == 1 and batch_size == 1
+ *       -> RunProgram / RunProgramCheckpointed (this file): in-order
+ *          interpretation, RunControl honored per gate.
+ *   - otherwise
+ *       -> one job on a ServingExecutor (serving.h) with num_threads
+ *          workers: gates start the moment their inputs exist, up to
+ *          batch_size ready gates share one kernel call, RunControl
+ *          honored per gate. ExecOptions::executor reuses a caller-owned
+ *          worker pool; otherwise a transient pool serves the call.
  */
 #ifndef PYTFHE_BACKEND_INTERPRETER_H
 #define PYTFHE_BACKEND_INTERPRETER_H
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "backend/arena.h"
@@ -46,7 +36,6 @@
 #include "backend/evaluator.h"
 #include "backend/fault.h"
 #include "backend/run_control.h"
-#include "backend/scheduler.h"
 #include "pasm/memory_plan.h"
 #include "pasm/program.h"
 
@@ -155,19 +144,8 @@ std::vector<typename Evaluator::Ciphertext> RunProgramCheckpointed(
         ValuePlane<Evaluator> plane;
         plane.Reset(program, inputs);
 
-        std::optional<DecodedCheckpoint<C>> resume;
-        if (store != nullptr && !store->Empty()) {
-            std::string error;
-            resume = DecodeCheckpoint<C>(store->record,
-                                         ProgramFingerprint(program),
-                                         end_gate, &error);
-            if (resume && !CutValidForProgram(resume->cut, program))
-                resume.reset();
-            if (!resume) {
-                store->Clear();
-                if (stats) ++stats->corrupt_discarded;
-            }
-        }
+        const std::optional<DecodedCheckpoint<C>> resume =
+            DecodeStoredCheckpoint<C>(program, store, stats);
 
         std::vector<uint64_t> level;
         std::vector<uint64_t> suffmin;  // Min level over instrs >= idx.
@@ -186,10 +164,6 @@ std::vector<typename Evaluator::Ciphertext> RunProgramCheckpointed(
         if (resume) {
             RestoreCheckpoint(plane, *resume);
             done_count = resume->gates_completed;
-            if (stats) {
-                ++stats->resumes;
-                stats->gates_resumed += resume->gates_completed;
-            }
             if (capture)
                 last_ckpt_level =
                     resume->cut == CheckpointCut::kLevel
@@ -251,108 +225,6 @@ std::vector<typename Evaluator::Ciphertext> RunProgramCheckpointed(
         }
         return plane.Harvest(program);
     }
-}
-
-/**
- * Level-parallel execution with `num_threads` workers and a barrier
- * between waves (Algorithm 1's Compute(C - finished) discipline). The
- * evaluator's Apply must be safe to call concurrently; profile counters
- * are atomic, so accounting stays exact. num_threads == 1 bypasses
- * scheduling entirely and runs the sequential interpreter — the outputs
- * are bit-identical. A throwing gate evaluation (or an injected fault)
- * stops the remaining waves and rethrows as GateExecutionError after the
- * in-flight wave drains — worker threads are always joined.
- *
- * Spawns fresh threads per wave; prefer Executor (executor.h) for
- * repeated runs.
- *
- * `resume` optionally names a decoded checkpoint (frame already
- * verified): the snapshotted values are restored and every gate at or
- * below the cut is skipped. Capture is not supported on this legacy
- * path — checkpoints come from the sequential interpreter or the
- * serving executor.
- */
-template <typename Evaluator>
-std::vector<typename Evaluator::Ciphertext> RunProgramThreaded(
-    const pasm::Program& program, Evaluator& eval,
-    const std::vector<typename Evaluator::Ciphertext>& inputs,
-    int32_t num_threads, const FaultHook& fault = {},
-    const DecodedCheckpoint<typename Evaluator::Ciphertext>* resume =
-        nullptr) {
-    detail::ValidateRunArgs(program, inputs.size(), num_threads);
-    if (num_threads == 1 && resume == nullptr)
-        return RunProgram(program, eval, inputs, {}, fault);
-
-    const Schedule schedule = ComputeSchedule(program);
-    const uint64_t first_gate = program.FirstGateIndex();
-    // Wave-barrier execution may only reuse slots across a level boundary,
-    // so plans not flagged level-safe are ignored (identity layout).
-    const pasm::MemoryPlan* plan = program.Plan();
-    ValuePlane<Evaluator> plane;
-    plane.Reset(program, inputs, plan != nullptr && plan->level_safe);
-
-    std::vector<uint8_t> done;
-    if (resume != nullptr) {
-        RestoreCheckpoint(plane, *resume);
-        done.assign(program.NumGates(), 0);
-        if (resume->cut == CheckpointCut::kOrdinal) {
-            const uint64_t last =
-                std::min(resume->boundary + 1,
-                         first_gate + program.NumGates());
-            for (uint64_t idx = first_gate; idx < last; ++idx)
-                done[idx - first_gate] = 1;
-        } else {
-            const std::vector<uint64_t> level = program.ValueLevels();
-            for (uint64_t g = 0; g < program.NumGates(); ++g)
-                done[g] = level[first_gate + g] < resume->boundary ? 1 : 0;
-        }
-    }
-
-    // First failure wins; later workers observe the flag and stop picking.
-    std::atomic<bool> failed{false};
-    std::mutex error_mu;
-    std::optional<GateExecutionError> error;
-
-    for (const auto& wave : schedule.levels) {
-        // Submit the whole ready set, then barrier before the next wave.
-        std::atomic<size_t> cursor{0};
-        auto worker = [&]() {
-            // One scratch per participating thread, local to its call.
-            typename detail::WorkerScratchOf<Evaluator>::type scratch{};
-            while (!failed.load(std::memory_order_relaxed)) {
-                const size_t i = cursor.fetch_add(1);
-                if (i >= wave.size()) break;
-                const uint64_t idx = wave[i];
-                if (!done.empty() && done[idx - first_gate]) continue;
-                try {
-                    fault.OnGate(idx - first_gate);
-                    plane.Apply(eval, program, idx, scratch);
-                } catch (...) {
-                    try {
-                        RethrowAsGateError(idx - first_gate, fault.attempt);
-                    } catch (const GateExecutionError& e) {
-                        std::lock_guard<std::mutex> lock(error_mu);
-                        if (!error) error = e;
-                    }
-                    failed.store(true, std::memory_order_relaxed);
-                }
-            }
-        };
-        if (wave.size() == 1) {
-            worker();
-        } else {
-            std::vector<std::thread> threads;
-            const int32_t n = std::min<int32_t>(
-                num_threads, static_cast<int32_t>(wave.size()));
-            threads.reserve(n);
-            for (int32_t t = 0; t < n; ++t) threads.emplace_back(worker);
-            for (auto& t : threads) t.join();
-        }
-        if (failed.load(std::memory_order_relaxed)) break;
-    }
-    if (error) throw *error;
-
-    return plane.Harvest(program);
 }
 
 }  // namespace pytfhe::backend

@@ -1,15 +1,16 @@
 /**
  * @file
- * Multi-job serving substrate: many programs interleaved gate-by-gate on
- * one persistent worker pool.
+ * The concurrent execution engine: many programs interleaved gate-by-gate
+ * on one persistent worker pool.
  *
- * Executor::Run multiplexes the gates of ONE program; a server under load
- * has many small encrypted jobs whose individual dependency chains leave
- * most workers idle (a ripple adder keeps ~1.3 threads busy no matter how
- * many it is given). ServingExecutor keeps the dependency-counting
- * discipline per job but lets the shared workers pick ready gates from
- * every admitted job, so independent jobs fill each other's pipeline
- * bubbles.
+ * Every job is scheduled by dependency counting — each gate carries a
+ * remaining-predecessor count and becomes ready the moment its inputs
+ * exist — and the shared workers claim ready gates from every admitted
+ * job, so independent jobs fill each other's pipeline bubbles (a ripple
+ * adder alone keeps ~1.3 threads busy no matter how many it is given).
+ * backend::Execute (execute.h) runs a single program as a lone job on
+ * this engine, so local multi-threaded execution and multi-tenant serving
+ * share one scheduler.
  *
  * Scheduling policy, in order:
  *   - Admission: at most `max_active_jobs` jobs execute concurrently;
@@ -19,23 +20,25 @@
  *   - Fairness: workers scan active jobs round-robin and each job holds at
  *     most `per_job_inflight_cap` gates in flight, so one wide job cannot
  *     monopolize the pool while narrow jobs starve.
- *   - Chaining: a worker finishing a gate runs one newly ready successor
- *     of the same job directly (no queue round-trip), which preserves the
- *     in-flight count it already holds — depth-first within a job, fair
- *     across jobs.
+ *   - Batching: one claim takes up to `batch_size` ready gates (FIFO
+ *     within a job) and fuses the bootstrapped ones into one kernel call;
+ *     batch_size 1 makes every claim one gate wide.
  *
  * Cancellation and deadlines are cooperative at gate granularity: a
  * cancelled or expired job stops evaluating gates but still drains its
  * dependency counts (skipped gates cost a counter decrement, not a
  * bootstrap), so it terminates promptly without special-casing the
- * scheduler. Queued jobs check the deadline at admission; there is no
- * timer thread.
+ * scheduler. Each job carries a RunControl (SubmitOptions::control): its
+ * deadline and optional caller-owned cancel token are checked at every
+ * gate and at admission, and also interrupt the job's injected stalls.
+ * There is no timer thread.
  *
  * Fault tolerance (fault.h): a throwing gate evaluation — a real
- * evaluator exception or one injected by ServingOptions::fault_injector —
- * fails only its own job. The first error is latched as a typed
- * GateExecutionError, the job's remaining gates skip-and-drain exactly
- * like a cancellation, and the pool keeps serving every other job. When
+ * evaluator exception or one injected by ServingOptions::fault_injector
+ * (or the job's own SubmitOptions::fault hook) — fails only its own job.
+ * The first error is latched as a typed GateExecutionError, the job's
+ * remaining gates skip-and-drain exactly like a cancellation, and the
+ * pool keeps serving every other job. When
  * the failure is transient and ServingOptions::retry allows another
  * attempt, the job is re-queued with exponential backoff (it waits in the
  * queue until its backoff elapses; later submissions may be admitted
@@ -97,6 +100,13 @@
 #include "pasm/program.h"
 
 namespace pytfhe::backend {
+
+namespace detail {
+
+/** Sentinel gate of a claim that takes a whole job (degraded attempt). */
+inline constexpr uint64_t kNoGate = ~UINT64_C(0);
+
+}  // namespace detail
 
 /**
  * Typed admission rejection: queued + active jobs hit the bound. Carries
@@ -323,9 +333,9 @@ struct ServingOptions {
      * round-robin across active jobs — batching composes with fairness —
      * but only from jobs sharing the first picked job's evaluator, since
      * one batched blind rotation uses one bootstrapping key. Within a job,
-     * batch mode serves the ready list FIFO. Fault injection stays per
-     * gate: a faulted gate inside a batch fails only its own job.
-     * 1 disables batching and leaves the scalar pick/chain path untouched.
+     * claims serve the ready list FIFO. Fault injection stays per gate: a
+     * faulted gate inside a batch fails only its own job. 1 disables
+     * batching: every claim is one gate wide.
      */
     int32_t batch_size = 1;
     /**
@@ -388,9 +398,15 @@ class ServingExecutor {
 
     /** Per-submission options (service-wide knobs live in ServingOptions). */
     struct SubmitOptions {
-        /** Absolute wall deadline; time_point::max() = none. */
-        std::chrono::steady_clock::time_point deadline =
-            std::chrono::steady_clock::time_point::max();
+        /**
+         * Absolute wall deadline plus an optional caller-owned cancel
+         * token, checked at every gate and at admission; either one also
+         * interrupts the job's injected stalls. A raised token ends the
+         * job kCancelled exactly like Job::Cancel. The degraded
+         * sequential attempt watches the token in place of Job::Cancel
+         * (one flag per sequential run).
+         */
+        RunControl control;
         /**
          * Tenant identity for the per-tenant quotas (a serving registry
          * passes the KeyId value). 0 = anonymous; anonymous jobs share
@@ -410,6 +426,22 @@ class ServingExecutor {
          * job references it, and this is how the registry guarantees it.
          */
         std::shared_ptr<void> pin;
+        /**
+         * Fault identity of this job. A non-null injector replaces
+         * ServingOptions::fault_injector for this job and names its job
+         * id; `attempt` is added to the scheduler's own attempt counter
+         * both for injection and in GateExecutionError. The default keeps
+         * the service injector keyed by submission ordinal.
+         */
+        FaultHook fault;
+        /**
+         * Optional decoded checkpoint (either cut kind, frame already
+         * verified) to start the first attempt from: its values are
+         * restored and only the gates past the cut execute. Read during
+         * Submit only. Retries restart from the job's own captures (or
+         * from scratch), never from this record.
+         */
+        const DecodedCheckpoint<Ciphertext>* resume = nullptr;
     };
 
     class Job;
@@ -573,38 +605,7 @@ class ServingExecutor {
             work_cv.notify_all();
         }
 
-        /**
-         * Pops the next ready gate, fair round-robin under the cap. A job
-         * marked run_sequential (degraded final attempt) is claimed whole:
-         * the picker returns it with detail::kNoGate once no other worker
-         * holds any of its gates, and the claimer runs the entire program
-         * on the sequential interpreter.
-         */
-        bool PickLocked(JobPtr* job, uint64_t* gate) {
-            const size_t n = active.size();
-            for (size_t i = 0; i < n; ++i) {
-                const size_t j = (rr + i) % n;
-                Job& cand = *active[j];
-                if (cand.run_sequential) {
-                    if (cand.in_flight > 0) continue;
-                    *gate = detail::kNoGate;
-                    *job = active[j];
-                    rr = (j + 1) % n;
-                    return true;
-                }
-                if (cand.ready.empty() ||
-                    cand.in_flight >= opts.per_job_inflight_cap * cand.weight)
-                    continue;
-                *gate = cand.ready.back();
-                cand.ready.pop_back();
-                *job = active[j];
-                rr = (j + 1) % n;
-                return true;
-            }
-            return false;
-        }
-
-        /** One gate claimed by a batch worker, with its attempt stamp. */
+        /** One claimed gate, with its attempt stamp. */
         struct Picked {
             JobPtr job;
             uint64_t gate = 0;
@@ -612,13 +613,15 @@ class ServingExecutor {
         };
 
         /**
-         * Batch-mode pick: claims up to opts.batch_size ready gates,
-         * round-robin across active jobs under the per-job in-flight cap,
-         * FIFO within each job's ready list. All gates of one claim come
-         * from jobs sharing the first picked job's evaluator (one batch =
-         * one bootstrapping key). In-flight counts are taken at pick time,
-         * one per gate. A run_sequential job is still claimed whole and
-         * alone (gate == detail::kNoGate), exactly like PickLocked.
+         * Claims up to opts.batch_size ready gates, round-robin across
+         * active jobs under the per-job in-flight cap, FIFO within each
+         * job's ready list. All gates of one claim come from jobs sharing
+         * the first picked job's evaluator (one batch = one bootstrapping
+         * key). In-flight counts are taken at pick time, one per gate. A
+         * run_sequential job (degraded final attempt) is claimed whole
+         * and alone (gate == detail::kNoGate) once no other worker holds
+         * any of its gates; the claimer runs the entire program on the
+         * sequential interpreter.
          */
         bool PickBatchLocked(std::vector<Picked>* out) {
             const size_t n = active.size();
@@ -727,7 +730,7 @@ class ServingExecutor {
             // is taken or the job is parked in retry backoff: neither a
             // full service nor an unelapsed backoff extends a deadline.
             for (size_t i = 0; i < queued.size();) {
-                if (now >= queued[i]->deadline) {
+                if (now >= queued[i]->control.deadline) {
                     JobPtr job = std::move(queued[i]);
                     queued.erase(queued.begin() + i);
                     FinishLocked(*job, JobStatus::kDeadlineExceeded);
@@ -745,11 +748,15 @@ class ServingExecutor {
                 }
                 JobPtr job = std::move(queued[i]);
                 queued.erase(queued.begin() + i);
-                if (job->cancel_requested.load(std::memory_order_relaxed)) {
+                const RunControl::Abort abort =
+                    job->cancel_requested.load(std::memory_order_relaxed)
+                        ? RunControl::Abort::kCancelled
+                        : job->control.Check();
+                if (abort == RunControl::Abort::kCancelled) {
                     FinishLocked(*job, JobStatus::kCancelled);
                     continue;
                 }
-                if (Clock::now() >= job->deadline) {
+                if (abort == RunControl::Abort::kDeadline) {
                     FinishLocked(*job, JobStatus::kDeadlineExceeded);
                     continue;
                 }
@@ -787,7 +794,7 @@ class ServingExecutor {
             // (backoff, full service, tenant quota) must fail at the
             // deadline, not whenever a slot happens to open.
             for (const JobPtr& job : queued)
-                next = std::min(next, job->deadline);
+                next = std::min(next, job->control.deadline);
             if (active.size() >= opts.max_active_jobs) return next;
             for (const JobPtr& job : queued) {
                 if (!TenantMayActivateLocked(job->tenant)) continue;
@@ -797,11 +804,60 @@ class ServingExecutor {
         }
 
         /**
+         * Seeds one attempt of a job that no worker holds gates of (not
+         * yet published, or drained to remaining == 0): re-seeds the
+         * plane from `inputs` (the plane keeps its slab, so a retry
+         * allocates nothing) and rebuilds the dependency counters —
+         * from scratch, or past `resume`'s cut with its values restored.
+         * The quiesce barrier is armed where the done set is
+         * level-aligned (a fresh start or a level cut); an attempt
+         * resumed from an ordinal cut runs without captures. Returns the
+         * gates the resume skipped.
+         */
+        uint64_t SeedLocked(Job& job, const std::vector<Ciphertext>& inputs,
+                            const DecodedCheckpoint<Ciphertext>* resume) {
+            job.values.Reset(*job.program, inputs);
+            job.held.clear();
+            const uint64_t n = job.program->NumGates();
+            if (resume == nullptr) {
+                for (uint64_t g = 0; g < n; ++g)
+                    job.pending[g].store(job.deps.pred_count[g],
+                                         std::memory_order_relaxed);
+                job.ready = job.deps.RootGates();
+                job.remaining = n;
+                ArmBarrierLocked(job, 0);
+                return 0;
+            }
+            RestoreCheckpoint(job.values, *resume);
+            ResumeState state = BuildResumeState(
+                *job.program, job.deps, resume->cut, resume->boundary);
+            for (uint64_t g = 0; g < n; ++g)
+                job.pending[g].store(state.pending[g],
+                                     std::memory_order_relaxed);
+            job.ready = std::move(state.ready);
+            job.remaining = state.remaining;
+            if (resume->cut == CheckpointCut::kLevel) {
+                ArmBarrierLocked(job, resume->boundary - 1);
+            } else {
+                job.ckpt_boundary = 0;
+            }
+            return state.gates_done;
+        }
+
+        /** Accounts an attempt that started from a checkpoint. */
+        void NoteResumeLocked(Job& job, uint64_t gates_done) {
+            job.resumed_attempt = true;
+            ++job.ckpt_resumes;
+            ++stats.checkpoint_resumes;
+            job.ckpt_gates_resumed += gates_done;
+            stats.gates_resumed += gates_done;
+        }
+
+        /**
          * Restores the job's last checkpoint for a retry: decodes (and
-         * thereby CRC-verifies) the record, re-seeds the plane, restores
-         * the snapshotted slots, and rebuilds the dependency counters past
-         * the cut. Returns false — and the caller falls back to a full
-         * reset — when no usable record exists; a record that fails
+         * thereby CRC-verifies) the record and seeds the attempt past its
+         * cut. Returns false — and the caller falls back to a full reset
+         * — when no usable record exists; a record that fails
          * verification is additionally discarded and counted, never
          * trusted.
          */
@@ -814,33 +870,17 @@ class ServingExecutor {
                                                  job.fingerprint,
                                                  job.liveness.end_index,
                                                  &error);
-                // The parallel pickers only resume level cuts (the kind
-                // this executor captures); an ordinal record — possible
-                // only by construction error, since the sequential path
-                // is the final attempt — is unusable here.
+                // Retries resume only level cuts (the kind this scheduler
+                // captures); an ordinal record — possible only by
+                // construction error, since the sequential path is the
+                // final attempt — is unusable here.
                 if (!decoded || decoded->cut != CheckpointCut::kLevel ||
                     !CutValidForProgram(decoded->cut, *job.program)) {
                     job.checkpoint.Clear();
                     ++stats.checkpoints_corrupt_discarded;
                     return false;
                 }
-                job.values.Reset(*job.program, job.inputs);
-                RestoreCheckpoint(job.values, *decoded);
-                ResumeState state = BuildResumeState(
-                    *job.program, job.deps, decoded->cut,
-                    decoded->boundary);
-                for (uint64_t g = 0; g < job.program->NumGates(); ++g)
-                    job.pending[g].store(state.pending[g],
-                                         std::memory_order_relaxed);
-                job.ready = std::move(state.ready);
-                job.held.clear();
-                job.remaining = state.remaining;
-                ArmBarrierLocked(job, decoded->boundary - 1);
-                job.resumed_attempt = true;
-                ++job.ckpt_resumes;
-                ++stats.checkpoint_resumes;
-                job.ckpt_gates_resumed += state.gates_done;
-                stats.gates_resumed += state.gates_done;
+                NoteResumeLocked(job, SeedLocked(job, job.inputs, &*decoded));
                 return true;
             }
             return false;
@@ -919,19 +959,10 @@ class ServingExecutor {
                 job.held.clear();
                 job.ready.clear();
             } else if (!ResumeFromCheckpointLocked(job)) {
-                // Reset the dependency-counted state for a parallel
-                // re-run in place: the value plane keeps its slab/slots
-                // (a retry re-seeds the inputs without reallocating). No
-                // worker holds gates of this job any more (remaining hit
-                // zero under the lock), so the resets are ordered before
-                // any future reader.
-                job.values.Reset(*job.program, job.inputs);
-                for (uint64_t g = 0; g < job.program->NumGates(); ++g)
-                    job.pending[g].store(job.deps.pred_count[g],
-                                         std::memory_order_relaxed);
-                job.ready = job.deps.RootGates();
-                job.held.clear();
-                if (job.ckpt_enabled) ArmBarrierLocked(job, 0);
+                // No worker holds gates of this job any more (remaining
+                // hit zero under the lock), so the re-seed is ordered
+                // before any future reader.
+                SeedLocked(job, job.inputs, nullptr);
             }
             const double backoff =
                 opts.retry.BackoffSeconds(job.seq, job.attempt);
@@ -1012,50 +1043,23 @@ class ServingExecutor {
         }
 
         /**
-         * One worker of the shared pool: pick a ready gate from any job,
-         * execute (or drain) it, propagate dependency counts, chain into
-         * at most one newly ready successor.
+         * One worker of the shared pool: claim ready gates from any job,
+         * execute (or drain) them, propagate dependency counts.
          */
         void WorkerLoop() {
             typename detail::WorkerScratchOf<Evaluator>::type scratch{};
             typename detail::BatchScratchOf<Evaluator>::type batch_scratch{};
             (void)batch_scratch;
-            std::vector<uint64_t> publish;
             std::vector<Picked> batch;
-            const bool batching = opts.batch_size > 1;
             std::unique_lock<std::mutex> lock(mu);
             while (true) {
                 // Backoff expiries do not generate notifications, so idle
                 // workers re-scan the queue and sleep only until the next
                 // job becomes eligible.
                 if (!queued.empty()) AdmitLocked();
-                if (batching) {
-                    batch.clear();
-                    if (!PickBatchLocked(&batch)) {
-                        if (shutdown && active.empty() && queued.empty())
-                            return;
-                        const Clock::time_point next = NextEligibleLocked();
-                        if (next == Clock::time_point::max()) {
-                            work_cv.wait(lock);
-                        } else {
-                            work_cv.wait_until(lock, next);
-                        }
-                        continue;
-                    }
-                    if (batch.front().gate == detail::kNoGate) {
-                        RunSequentialJob(*batch.front().job,
-                                         batch.front().attempt, lock);
-                        continue;
-                    }
-                    RunBatch(batch, scratch, batch_scratch, lock);
-                    // RunBatch returns with the lock re-held.
-                    continue;
-                }
-                JobPtr job;
-                uint64_t gate = 0;
-                if (!PickLocked(&job, &gate)) {
-                    if (shutdown && active.empty() && queued.empty())
-                        return;
+                batch.clear();
+                if (!PickBatchLocked(&batch)) {
+                    if (shutdown && active.empty() && queued.empty()) return;
                     const Clock::time_point next = NextEligibleLocked();
                     if (next == Clock::time_point::max()) {
                         work_cv.wait(lock);
@@ -1064,15 +1068,13 @@ class ServingExecutor {
                     }
                     continue;
                 }
-                const uint32_t attempt = job->attempt;
-                ++job->in_flight;
-                if (gate == detail::kNoGate) {
-                    RunSequentialJob(*job, attempt, lock);
+                if (batch.front().gate == detail::kNoGate) {
+                    RunSequentialJob(*batch.front().job,
+                                     batch.front().attempt, lock);
                     continue;
                 }
-                lock.unlock();
-                RunChain(*job, gate, attempt, scratch, publish, lock);
-                // RunChain returns with the lock re-held.
+                RunBatch(batch, scratch, batch_scratch, lock);
+                // RunBatch returns with the lock re-held.
             }
         }
 
@@ -1090,10 +1092,10 @@ class ServingExecutor {
             std::vector<Ciphertext> outs;
             CheckpointRunStats cstats;
             try {
-                RunControl rc;
-                rc.cancel = &job.cancel_requested;
-                rc.deadline = job.deadline;
-                FaultHook hook{opts.fault_injector, job.seq, attempt};
+                RunControl rc = job.control;
+                if (rc.cancel == nullptr) rc.cancel = &job.cancel_requested;
+                FaultHook hook = job.fault;
+                hook.attempt += attempt;
                 // Touching job.checkpoint unlocked is safe: a
                 // run_sequential job is claimed whole and alone, so this
                 // worker is the only actor on the job until it re-locks.
@@ -1144,138 +1146,6 @@ class ServingExecutor {
             FinishActiveLocked(job, status);
         }
 
-        template <typename Scratch>
-        void RunChain(Job& job, uint64_t gate, uint32_t attempt,
-                      Scratch& scratch, std::vector<uint64_t>& publish,
-                      std::unique_lock<std::mutex>& lock) {
-            while (true) {
-                publish.clear();
-                bool skip =
-                    job.cancel_requested.load(std::memory_order_relaxed) ||
-                    job.fail_requested.load(std::memory_order_relaxed);
-                bool expired = false;
-                if (!skip && Clock::now() >= job.deadline) {
-                    expired = true;
-                    skip = true;
-                }
-                bool linear = false;
-                std::optional<GateExecutionError> caught;
-                if (!skip) {
-                    const pasm::DecodedGate g = job.program->GateAt(gate);
-                    try {
-                        if (opts.fault_injector != nullptr) {
-                            // Injected stalls shed early once the job is
-                            // being abandoned (cancel, watchdog
-                            // preemption) or its deadline passes.
-                            RunControl stall_rc;
-                            stall_rc.cancel = &job.abort_hint;
-                            stall_rc.deadline = job.deadline;
-                            opts.fault_injector->OnGate(
-                                job.seq, attempt, gate - job.first_gate,
-                                &stall_rc);
-                        }
-                        job.values.Apply(*job.eval, *job.program, gate,
-                                         scratch);
-                        linear = circuit::IsLinearGate(g.type);
-                    } catch (...) {
-                        try {
-                            RethrowAsGateError(gate - job.first_gate,
-                                               attempt);
-                        } catch (const GateExecutionError& e) {
-                            caught = e;
-                        }
-                        // Dependents of this gate skip-and-drain like a
-                        // cancellation; other jobs are untouched.
-                        job.fail_requested.store(
-                            true, std::memory_order_relaxed);
-                    }
-                }
-                // The final decrement transfers ownership of the successor's
-                // inputs to whoever saw zero, hence acq_rel.
-                uint64_t next = detail::kNoGate;
-                const auto [s, e] = job.deps.SuccessorsOf(gate);
-                for (const uint64_t* p = s; p != e; ++p) {
-                    if (job.pending[*p - job.first_gate].fetch_sub(
-                            1, std::memory_order_acq_rel) == 1) {
-                        if (next == detail::kNoGate) {
-                            next = *p;
-                        } else {
-                            publish.push_back(*p);
-                        }
-                    }
-                }
-                lock.lock();
-                if (expired) job.deadline_hit = true;
-                if (caught) {
-                    ++job.gate_failures;
-                    if (!job.failure) job.failure = std::move(caught);
-                } else if (skip) {
-                    ++job.gates_skipped;
-                } else {
-                    ++job.gates_executed;
-                    ++job.gates_since_ckpt;
-                    if (linear) ++job.linear_executed;
-                }
-                // Every processed gate (run or drained) is progress the
-                // watchdog can see and, below an armed boundary, one step
-                // toward the quiesce point.
-                ++job.progress_epoch;
-                if (job.ckpt_boundary != 0 &&
-                    job.liveness.level[gate] < job.ckpt_boundary)
-                    --job.below_remaining;
-                if (!publish.empty()) {
-                    size_t published = 0;
-                    for (uint64_t g : publish) {
-                        if (job.ckpt_boundary != 0 &&
-                            job.liveness.level[g] >= job.ckpt_boundary) {
-                            job.held.push_back(g);
-                        } else {
-                            job.ready.push_back(g);
-                            ++published;
-                        }
-                    }
-                    if (published == 1) {
-                        work_cv.notify_one();
-                    } else if (published > 1) {
-                        work_cv.notify_all();
-                    }
-                }
-                if (--job.remaining == 0) {
-                    --job.in_flight;
-                    if (job.cancel_requested.load(
-                            std::memory_order_relaxed)) {
-                        FinishActiveLocked(job, JobStatus::kCancelled);
-                    } else if (job.deadline_hit) {
-                        FinishActiveLocked(job,
-                                           JobStatus::kDeadlineExceeded);
-                    } else if (job.fail_requested.load(
-                                   std::memory_order_relaxed)) {
-                        ResolveFailureLocked(job);
-                    } else {
-                        FinishActiveLocked(job, JobStatus::kDone);
-                    }
-                    return;
-                }
-                if (next != detail::kNoGate && job.ckpt_boundary != 0 &&
-                    job.liveness.level[next] >= job.ckpt_boundary) {
-                    // The chain candidate sits beyond the armed quiesce
-                    // boundary: hold it back and drop the chain.
-                    job.held.push_back(next);
-                    next = detail::kNoGate;
-                }
-                if (next != detail::kNoGate) {
-                    // Keep the in-flight slot and chain depth-first.
-                    lock.unlock();
-                    gate = next;
-                    continue;
-                }
-                --job.in_flight;
-                MaybeCaptureLocked(job);
-                if (!job.ready.empty()) work_cv.notify_one();
-                return;
-            }
-        }
-
         /**
          * Executes one batch claim: per-gate skip/deadline checks and
          * fault hooks (a faulted gate fails only its own job), one fused
@@ -1311,7 +1181,7 @@ class ServingExecutor {
                 Job& job = *batch[i].job;
                 try {
                     RethrowAsGateError(batch[i].gate - job.first_gate,
-                                       batch[i].attempt);
+                                       job.fault.attempt + batch[i].attempt);
                 } catch (const GateExecutionError& e) {
                     st[i].caught = e;
                 }
@@ -1324,9 +1194,19 @@ class ServingExecutor {
                 gs.skip =
                     job.cancel_requested.load(std::memory_order_relaxed) ||
                     job.fail_requested.load(std::memory_order_relaxed);
-                if (!gs.skip && Clock::now() >= job.deadline) {
-                    gs.expired = true;
-                    gs.skip = true;
+                if (!gs.skip) {
+                    const RunControl::Abort abort = job.control.Check();
+                    if (abort == RunControl::Abort::kCancelled) {
+                        // The caller's token: cancel like Job::Cancel.
+                        job.cancel_requested.store(
+                            true, std::memory_order_relaxed);
+                        job.abort_hint.store(true,
+                                             std::memory_order_relaxed);
+                        gs.skip = true;
+                    } else if (abort == RunControl::Abort::kDeadline) {
+                        gs.expired = true;
+                        gs.skip = true;
+                    }
                 }
                 if (gs.skip) continue;
                 const pasm::DecodedGate g =
@@ -1335,13 +1215,15 @@ class ServingExecutor {
                 if constexpr (detail::kSupportsApplyBatch<Evaluator>)
                     batchable = Evaluator::Batchable(g.type);
                 try {
-                    if (opts.fault_injector != nullptr) {
-                        RunControl stall_rc;
-                        stall_rc.cancel = &job.abort_hint;
-                        stall_rc.deadline = job.deadline;
-                        opts.fault_injector->OnGate(
-                            job.seq, batch[i].attempt,
-                            batch[i].gate - job.first_gate, &stall_rc);
+                    if (job.fault.injector != nullptr) {
+                        // Injected stalls shed early once the job is being
+                        // abandoned (cancel, watchdog preemption) or its
+                        // control trips.
+                        job.fault.injector->OnGate(
+                            job.fault.job,
+                            job.fault.attempt + batch[i].attempt,
+                            batch[i].gate - job.first_gate, &job.control,
+                            &job.abort_hint);
                     }
                     if (batchable) {
                         kernel.push_back(i);
@@ -1553,16 +1435,13 @@ class ServingExecutor {
               deps(program->BuildGateDependencies(program->Plan())),
               first_gate(program->FirstGateIndex()),
               submit_time(Clock::now()),
-              deadline(so.deadline),
+              control(so.control),
               tenant(so.tenant),
               weight(so.weight > 0 ? so.weight : 1),
               pin(so.pin),
               pending(program->NumGates()),
-              remaining(program->NumGates()) {
-            for (uint64_t g = 0; g < program->NumGates(); ++g)
-                pending[g].store(deps.pred_count[g],
-                                 std::memory_order_relaxed);
-            ready = deps.RootGates();
+              remaining(program->NumGates()),
+              fault(so.fault) {
             if constexpr (CiphertextCodec<Ciphertext>::kSupported) {
                 if (core_->opts.checkpoint.Enabled() &&
                     program->NumGates() > 0 &&
@@ -1584,10 +1463,6 @@ class ServingExecutor {
                     cum_gates.assign(max_level + 2, 0);
                     for (uint64_t l = 1; l <= max_level + 1; ++l)
                         cum_gates[l] = cum_gates[l - 1] + count[l - 1];
-                    // Arm the first boundary pre-publication (no lock
-                    // needed: the job is not visible to workers yet).
-                    // Root gates all sit at level 1, below any boundary.
-                    core_->ArmBarrierLocked(*this, 0);
                 }
             }
         }
@@ -1600,7 +1475,8 @@ class ServingExecutor {
         const pasm::GateDependencies deps;
         const uint64_t first_gate;
         const Clock::time_point submit_time;
-        const Clock::time_point deadline;
+        /** Deadline and caller cancel token (SubmitOptions::control). */
+        const RunControl control;
         const uint64_t tenant;  ///< Quota bucket (0 = anonymous pool).
         const uint32_t weight;  ///< Fairness weight, clamped >= 1.
         /** Opaque lifetime token (SubmitOptions::pin): keeps the
@@ -1640,8 +1516,11 @@ class ServingExecutor {
         JobMetrics metrics;
         std::condition_variable done_cv;
         // Fault-tolerance state (guarded by core_->mu).
-        uint64_t seq = 0;      ///< Submission ordinal: the fault/jitter key.
+        /** Submission ordinal: the default fault key and the jitter key. */
+        uint64_t seq = 0;
         uint32_t attempt = 0;  ///< 0-based execution attempt.
+        /** Injector and (job, base attempt) identity; set at Submit. */
+        FaultHook fault;
         std::optional<GateExecutionError> failure;
         uint64_t gate_failures = 0;
         /** Retained submission inputs when retries are enabled. */
@@ -1698,8 +1577,8 @@ class ServingExecutor {
         : core_(std::make_shared<Core>(Validated(options))) {
         std::shared_ptr<Core> core = core_;
         dispatcher_ = std::thread([core, &executor] {
-            executor.pool().RunOnWorkers(core->opts.num_workers - 1,
-                                         [&core] { core->WorkerLoop(); });
+            executor.RunOnWorkers(core->opts.num_workers - 1,
+                                  [&core] { core->WorkerLoop(); });
         });
         if (core_->opts.stall_timeout_seconds > 0.0)
             watchdog_ = std::thread([core] { core->WatchdogLoop(); });
@@ -1741,7 +1620,9 @@ class ServingExecutor {
             // straight from them).
             job->inputs = inputs;
         }
-        job->values.Reset(*job->program, inputs);
+        // Seeding needs no lock: the job is not visible to workers yet.
+        const uint64_t resumed =
+            core_->SeedLocked(*job, inputs, options.resume);
 
         std::lock_guard<std::mutex> lock(core_->mu);
         if (core_->shutdown)
@@ -1767,6 +1648,11 @@ class ServingExecutor {
         core_->TenantSubmittedLocked(job->tenant);
         job->seq = core_->stats.jobs_submitted;
         ++core_->stats.jobs_submitted;
+        if (job->fault.injector == nullptr) {
+            job->fault.injector = core_->opts.fault_injector;
+            job->fault.job = job->seq;
+        }
+        if (options.resume != nullptr) core_->NoteResumeLocked(*job, resumed);
         if (job->program->NumGates() == 0) {
             // Pass-through program: outputs reference inputs directly.
             job->started = true;

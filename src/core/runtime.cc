@@ -120,11 +120,4 @@ Ciphertexts Server::Run(const pasm::Program& program,
     return out;
 }
 
-Ciphertexts Server::Run(const pasm::Program& program,
-                        const Ciphertexts& inputs, int32_t num_threads) {
-    RunOptions options;
-    options.num_threads = num_threads;
-    return Run(program, inputs, options);
-}
-
 }  // namespace pytfhe::core

@@ -133,10 +133,11 @@ class Server {
         : gates_(std::move(gates)), evaluator_(*gates_) {}
 
     /**
-     * Executes a compiled program over ciphertexts. options.num_threads >
-     * 1 runs on the server's persistent dependency-counting executor (the
-     * worker pool is shared across calls); 1 runs the sequential
-     * interpreter — outputs are bit-identical either way. Throws
+     * Executes a compiled program over ciphertexts through
+     * backend::Execute. options.num_threads > 1 runs the program as one
+     * job on the serving scheduler over the server's persistent worker
+     * pool (shared across calls); 1 runs the sequential interpreter —
+     * outputs are bit-identical either way. Throws
      * std::invalid_argument on input-count mismatch or num_threads < 1,
      * and backend::DeadlineExceededError when options.deadline_seconds
      * expires mid-run (checked at gate granularity; partial results are
@@ -145,14 +146,6 @@ class Server {
      */
     Ciphertexts Run(const pasm::Program& program, const Ciphertexts& inputs,
                     const RunOptions& options = {});
-
-    /**
-     * Deprecated positional-argument shim; delegates to the RunOptions
-     * overload.
-     */
-    [[deprecated("pass core::RunOptions instead of a bare thread count")]]
-    Ciphertexts Run(const pasm::Program& program, const Ciphertexts& inputs,
-                    int32_t num_threads);
 
     const tfhe::GateProfile& profile() const { return gates_->profile(); }
 

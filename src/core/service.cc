@@ -67,7 +67,7 @@ JobHandle Service::Submit(KeyId key,
                               "; call RegisterTenant first");
     backend::ServingExecutor<backend::TfheEvaluator>::SubmitOptions so;
     if (options.deadline_seconds > 0.0)
-        so.deadline =
+        so.control.deadline =
             std::chrono::steady_clock::now() +
             std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                 std::chrono::duration<double>(options.deadline_seconds));

@@ -26,7 +26,10 @@ namespace pytfhe::hdl {
 /** A parameterizable scalar data type. */
 class DType {
   public:
-    enum class Kind : uint8_t { kUInt, kSInt, kFixed, kFloat };
+    // Int-wide so DType has no padding bytes: gtest lists a parameter of
+    // this type byte by byte, and indeterminate padding would make the
+    // listed test names differ from build to build.
+    enum class Kind : int32_t { kUInt, kSInt, kFixed, kFloat };
 
     /** Unsigned integer of `width` bits. */
     static DType UInt(int32_t width) { return DType(Kind::kUInt, width, 0); }
@@ -84,6 +87,8 @@ class DType {
     int32_t a_;  ///< Width / int bits / exponent bits.
     int32_t b_;  ///< Fraction bits / mantissa bits.
 };
+
+static_assert(sizeof(DType) == 3 * sizeof(int32_t), "DType has padding");
 
 }  // namespace pytfhe::hdl
 

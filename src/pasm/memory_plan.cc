@@ -13,8 +13,8 @@ ValueLiveness ComputeValueLiveness(const Program& program) {
     // Exact liveness: last reader per value, with outputs pinned. The
     // death *level* is the max wave level over all readers — not the level
     // of the last-by-ordinal reader, which can be the shallower one (an
-    // earlier-ordinal reader may sit at a deeper level, and wave-barrier
-    // execution runs it later).
+    // earlier-ordinal reader may sit at a deeper level, and level-ordered
+    // execution — a level cut — runs it later).
     ValueLiveness out;
     out.first_gate = first_gate;
     out.end_index = end_gate;

@@ -18,9 +18,10 @@ namespace pytfhe::pasm {
 struct MemoryPlanOptions {
     /**
      * Restrict slot reuse to wave-level boundaries (a slot freed at level
-     * L is reassigned only at level >= L+1). Level-safe plans are valid on
-     * every backend, including barrier-scheduled threading; turning this
-     * off packs slightly tighter but limits the plan to in-order and
+     * L is reassigned only at level >= L+1). Level-safe plans admit
+     * level-cut checkpoints (a wave boundary of the serving scheduler);
+     * turning this off packs slightly tighter but limits checkpoints to
+     * ordinal cuts. Every plan is valid for in-order and
      * dependency-counting execution. The compiler emits level-safe plans.
      */
     bool level_safe = true;

@@ -50,7 +50,7 @@ bool PlanIsSafe(const Program& p, const MemoryPlan& plan,
         level = p.ValueLevels();
         // Death level = max wave level over ALL readers: an early-ordinal
         // reader can sit at a deeper level than the last-by-ordinal one,
-        // and the wave-barrier backend runs it later.
+        // and level-ordered execution (a level cut) runs it later.
         death = level;
         const uint64_t first_gate = p.FirstGateIndex();
         for (uint64_t idx = first_gate; idx < first_gate + p.NumGates();

@@ -124,10 +124,10 @@ struct GateDependencies {
  *    reader, or to the end of the program when it is an output);
  *  - when `level_safe` is set, a slot freed by a value whose last reader
  *    runs at wave level L is only reassigned to a value defined at level
- *    >= L+1, which makes the plan safe for barrier-scheduled threaded
- *    execution (readers and the overwriting gate can never run in the
- *    same wave). Dependency-counting executors additionally need the
- *    anti-dependency edges from BuildGateDependencies(&plan).
+ *    >= L+1, so readers and the overwriting gate never share a wave and
+ *    every edge crosses a wave boundary forward (what level-cut
+ *    checkpoints need). Dependency-counting execution additionally needs
+ *    the anti-dependency edges from BuildGateDependencies(&plan).
  */
 struct MemoryPlan {
     /**

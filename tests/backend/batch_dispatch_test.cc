@@ -1,8 +1,8 @@
 /**
  * @file
- * Batch-aware dispatch tests: ReadyQueue::PopBatch semantics, executor
- * batch-vs-scalar equivalence (plain and encrypted, with exact profile
- * accounting), Execute batch_size plumbing and validation, serving-layer
+ * Batch-aware dispatch tests: Execute batch-vs-scalar equivalence (plain
+ * and encrypted, with exact profile accounting), batch_size plumbing and
+ * validation, serving-layer
  * batched scheduling, and fault isolation inside a fused batch (a faulted
  * gate fails only its own job). Labeled `concurrency` + `robustness`:
  * run under -DPYTFHE_SANITIZE=thread to prove race freedom.
@@ -91,32 +91,18 @@ std::vector<bool> RandomBits(uint64_t seed, size_t count) {
     return bits;
 }
 
-TEST(ReadyQueue, PopBatchServesFifoWhilePopServesLifo) {
-    detail::ReadyQueue q({1, 2, 3, 4, 5}, 5);
-    std::vector<uint64_t> batch;
-    ASSERT_TRUE(q.PopBatch(&batch, 3));
-    EXPECT_EQ(batch, (std::vector<uint64_t>{1, 2, 3}));
-    // Single-gate Pop keeps its stack discipline on the remainder.
-    uint64_t idx = 0;
-    ASSERT_TRUE(q.Pop(&idx));
-    EXPECT_EQ(idx, 5u);
-    // A batch larger than the backlog drains what exists.
-    ASSERT_TRUE(q.PopBatch(&batch, 8));
-    EXPECT_EQ(batch, (std::vector<uint64_t>{4}));
-    for (int i = 0; i < 5; ++i) q.MarkDone();
-    EXPECT_FALSE(q.PopBatch(&batch, 4));
-    EXPECT_FALSE(q.Pop(&idx));
-}
-
-TEST(ReadyQueue, PopBatchOfOneMatchesQueueOrderSemantics) {
-    // batch_size 1 uses the scalar worker (and LIFO Pop); this pins the
-    // PopBatch contract itself for max_batch == 1: FIFO, one at a time.
-    detail::ReadyQueue q({7, 8}, 2);
-    std::vector<uint64_t> batch;
-    ASSERT_TRUE(q.PopBatch(&batch, 1));
-    EXPECT_EQ(batch, (std::vector<uint64_t>{7}));
-    ASSERT_TRUE(q.PopBatch(&batch, 1));
-    EXPECT_EQ(batch, (std::vector<uint64_t>{8}));
+/** Execute at `threads` × `batch` with an optional fault hook. */
+template <typename Evaluator>
+std::vector<typename Evaluator::Ciphertext> ExecuteAt(
+    const pasm::Program& p, Evaluator& eval,
+    const std::vector<typename Evaluator::Ciphertext>& in, int32_t threads,
+    int32_t batch, Executor* executor, const FaultHook& fault = {}) {
+    ExecOptions options;
+    options.num_threads = threads;
+    options.batch_size = batch;
+    options.executor = executor;
+    options.fault = fault;
+    return Execute(p, eval, in, options);
 }
 
 class BatchExecutorPropertyTest
@@ -134,10 +120,9 @@ TEST_P(BatchExecutorPropertyTest, BatchedRunsMatchSequentialOnPlainBits) {
     std::vector<bool> in(8);
     for (size_t i = 0; i < in.size(); ++i) in[i] = rng() & 1;
     const auto want = RunProgram(*p, eval, in);
-    for (int32_t threads : {1, 2, 8}) {
-        for (int32_t batch : {2, 4, 8}) {
-            EXPECT_EQ(executor.Run(*p, eval, in, threads, {}, {}, batch),
-                      want)
+    for (int32_t threads : {1, 2, 4}) {
+        for (int32_t batch : {1, 2, 4, 8}) {
+            EXPECT_EQ(ExecuteAt(*p, eval, in, threads, batch, &executor), want)
                 << "threads=" << threads << " batch=" << batch;
         }
     }
@@ -158,14 +143,9 @@ TEST(ExecuteBatch, ValidatesAndRoutesBatchSize) {
     options.batch_size = -3;
     EXPECT_THROW((void)Execute(p, eval, in, options), std::invalid_argument);
 
+    // batch_size > 1 routes to the serving scheduler even single-threaded,
+    // and stays equivalent.
     options.batch_size = 4;
-    options.mode = ExecMode::kWaveBarrier;
-    options.num_threads = 2;
-    EXPECT_THROW((void)Execute(p, eval, in, options), std::invalid_argument);
-
-    // kAuto with batch_size > 1 routes through the dependency-counting
-    // executor even single-threaded, and stays equivalent.
-    options.mode = ExecMode::kAuto;
     options.num_threads = 1;
     EXPECT_EQ(Execute(p, eval, in, options), want);
     options.num_threads = 4;
@@ -184,15 +164,15 @@ TEST(ExecutorBatch, FaultInsideBatchFailsRunWithPreciseGateAttribution) {
     FaultInjector inj(plan);
     const auto in = RandomBits(5, program->NumInputs());
     try {
-        (void)executor.Run(*program, eval, in, 2, {}, FaultHook{&inj, 0, 0},
-                           /*batch_size=*/4);
+        (void)ExecuteAt(*program, eval, in, 2, /*batch=*/4, &executor,
+                  FaultHook{&inj, 0, 0});
         FAIL() << "expected GateExecutionError";
     } catch (const GateExecutionError& e) {
         EXPECT_EQ(e.gate_ordinal(), 0u);
         EXPECT_FALSE(e.transient());
     }
     // The pool survives and the next batched run (no faults) completes.
-    EXPECT_EQ(executor.Run(*program, eval, in, 2, {}, {}, 4),
+    EXPECT_EQ(ExecuteAt(*program, eval, in, 2, 4, &executor),
               RunProgram(*program, eval, in));
 }
 
@@ -230,11 +210,11 @@ TEST_F(EncryptedBatchTest, BatchedAdderBitIdenticalWithExactProfile) {
     ASSERT_GT(expected_bootstraps, 0u);
 
     Executor executor;
-    for (int32_t threads : {1, 2}) {
-        for (int32_t batch : {2, 4, 8}) {
+    for (int32_t threads : {1, 2, 4}) {
+        for (int32_t batch : {1, 2, 4, 8}) {
             gates_.profile().Reset();
             const auto got =
-                executor.Run(p, eval_, inputs, threads, {}, {}, batch);
+                ExecuteAt(p, eval_, inputs, threads, batch, &executor);
             ASSERT_EQ(got.size(), want.size());
             for (size_t i = 0; i < got.size(); ++i) {
                 EXPECT_EQ(got[i].a, want[i].a)

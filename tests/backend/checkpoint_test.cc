@@ -4,8 +4,9 @@
  * guard, a per-byte corruption + truncation sweep over the framed record
  * (a damaged checkpoint is always discarded, never restored), resume
  * bookkeeping (BuildResumeState), policy knobs, and the acceptance
- * matrix — a run killed mid-flight resumes bit-exactly on every backend
- * x thread count x batch size x memory-plan combination. Labeled
+ * matrix — a run killed mid-flight resumes bit-exactly from an ordinal or
+ * a level cut on every thread count x batch size x memory-plan
+ * combination of Execute. Labeled
  * `concurrency` + `robustness`: run under -DPYTFHE_SANITIZE=thread.
  */
 #include "backend/checkpoint.h"
@@ -84,6 +85,20 @@ void CaptureViaFaultedRun(const pasm::Program& program,
     EXPECT_THROW(RunProgramCheckpointed(program, eval, inputs, policy,
                                         store, {}, hook, stats),
                  GateExecutionError);
+}
+
+/** Every Execute configuration: threads {1, 2, 4} x batch {1, 4}. */
+std::vector<ExecOptions> ExecuteConfigs() {
+    std::vector<ExecOptions> configs;
+    for (const int32_t threads : {1, 2, 4}) {
+        for (const int32_t batch : {1, 4}) {
+            ExecOptions o;
+            o.num_threads = threads;
+            o.batch_size = batch;
+            configs.push_back(o);
+        }
+    }
+    return configs;
 }
 
 // ------------------------------------------------------------- wire record
@@ -199,17 +214,14 @@ TEST(CheckpointRecord, CorruptStoreFallsBackToFullRunOnEveryPath) {
     CaptureViaFaultedRun(program, inputs, /*fault_ordinal=*/16, &pristine);
     ASSERT_FALSE(pristine.Empty());
 
-    for (const ExecMode mode :
-         {ExecMode::kSequential, ExecMode::kDependencyCounting}) {
+    for (ExecOptions o : ExecuteConfigs()) {
         JobCheckpoint corrupt = pristine;
         corrupt.record[corrupt.record.size() / 2] ^= 0x20;
         CheckpointRunStats stats;
-        ExecOptions o;
-        o.mode = mode;
-        o.num_threads = mode == ExecMode::kSequential ? 1 : 4;
         o.checkpoint_store = &corrupt;
         o.checkpoint_stats = &stats;
-        EXPECT_EQ(Execute(program, eval, inputs, o), want);
+        EXPECT_EQ(Execute(program, eval, inputs, o), want)
+            << "threads=" << o.num_threads << " batch=" << o.batch_size;
         EXPECT_EQ(stats.resumes, 0u);
         EXPECT_EQ(stats.corrupt_discarded, 1u);
         EXPECT_TRUE(corrupt.Empty());  // Discarded, not retried.
@@ -311,29 +323,56 @@ TEST(CheckpointPolicyTest, MinGatesBetweenThrottlesCadence) {
 
 // ------------------------------------------------- acceptance: the matrix
 
-/** Resume configurations: every backend x threads x batch. */
-std::vector<ExecOptions> ResumeConfigs() {
-    std::vector<ExecOptions> configs;
-    ExecOptions seq;
-    configs.push_back(seq);
-    ExecOptions wave;
-    wave.mode = ExecMode::kWaveBarrier;
-    wave.num_threads = 4;
-    configs.push_back(wave);
-    for (const int32_t threads : {1, 4}) {
-        for (const int32_t batch : {1, 4}) {
-            ExecOptions dep;
-            dep.mode = ExecMode::kDependencyCounting;
-            dep.num_threads = threads;
-            dep.batch_size = batch;
-            configs.push_back(dep);
-        }
+/**
+ * Simulates a kill at the three-quarter mark of `program`: executes
+ * exactly the gates before the cut and snapshots the live set there.
+ * Ordinal cuts stop at an instruction index; level cuts at a wave level
+ * (the kind the serving scheduler captures). Cutting by hand pins the
+ * boundary for every seed and variant; faulted-run capture is exercised
+ * elsewhere.
+ */
+JobCheckpoint CutRecord(const pasm::Program& program,
+                        const std::vector<bool>& inputs, CheckpointCut cut) {
+    const uint64_t first = program.FirstGateIndex();
+    const uint64_t end = first + program.NumGates();
+    const std::vector<uint64_t> level = program.ValueLevels();
+    uint64_t max_level = 0;
+    for (uint64_t idx = first; idx < end; ++idx)
+        max_level = std::max(max_level, level[idx]);
+    const uint64_t boundary =
+        cut == CheckpointCut::kOrdinal
+            ? first + program.NumGates() * 3 / 4
+            : std::max<uint64_t>(2, max_level * 3 / 4);
+    auto done = [&](uint64_t idx) {
+        return cut == CheckpointCut::kOrdinal ? idx <= boundary
+                                              : level[idx] < boundary;
+    };
+    PlainEvaluator eval;
+    ValuePlane<PlainEvaluator> plane;
+    plane.Reset(program, inputs);
+    typename detail::WorkerScratchOf<PlainEvaluator>::type scratch{};
+    uint64_t completed = 0;
+    for (uint64_t idx = first; idx < end; ++idx) {
+        if (!done(idx)) continue;
+        plane.Apply(eval, program, idx, scratch);
+        ++completed;
     }
-    return configs;
+    const pasm::ValueLiveness liveness = pasm::ComputeValueLiveness(program);
+    JobCheckpoint store;
+    store.record = EncodeCheckpoint(
+        program, plane,
+        cut == CheckpointCut::kOrdinal
+            ? pasm::LiveValuesAtOrdinalCut(liveness, boundary)
+            : pasm::LiveValuesAtLevelCut(liveness, boundary),
+        cut, boundary, completed);
+    store.gates_completed = completed;
+    return store;
 }
 
 class KillAndResumeTest : public ::testing::TestWithParam<uint64_t> {};
 
+// The name predates the removal of the wave-barrier interpreter; the
+// matrix is now every Execute configuration x plan x cut kind.
 TEST_P(KillAndResumeTest, EveryBackendThreadsBatchPlanIsBitExact) {
     const Netlist n = RandomNetlist(GetParam(), 5, 60);
     auto unplanned = pasm::Assemble(n);
@@ -356,44 +395,31 @@ TEST_P(KillAndResumeTest, EveryBackendThreadsBatchPlanIsBitExact) {
     const char* names[] = {"unplanned", "level-safe", "tight"};
     for (int v = 0; v < 3; ++v) {
         const pasm::Program& program = *variants[v];
-        // Simulate a kill at the three-quarter mark of the sequential
-        // order: execute exactly that prefix and snapshot the live set at
-        // the ordinal cut (the cut kind valid to resume on every backend
-        // and plan). Faulted-run capture is exercised elsewhere; cutting
-        // by hand pins the boundary for every seed and variant.
-        const uint64_t cut_idx =
-            program.FirstGateIndex() + program.NumGates() * 3 / 4;
-        PlainEvaluator capture_eval;
-        ValuePlane<PlainEvaluator> plane;
-        plane.Reset(program, inputs);
-        typename detail::WorkerScratchOf<PlainEvaluator>::type scratch{};
-        for (uint64_t idx = program.FirstGateIndex(); idx <= cut_idx; ++idx)
-            plane.Apply(capture_eval, program, idx, scratch);
-        const pasm::ValueLiveness liveness =
-            pasm::ComputeValueLiveness(program);
-        JobCheckpoint store;
-        store.record = EncodeCheckpoint(
-            program, plane, pasm::LiveValuesAtOrdinalCut(liveness, cut_idx),
-            CheckpointCut::kOrdinal, cut_idx,
-            cut_idx - program.FirstGateIndex() + 1);
-        store.gates_completed = cut_idx - program.FirstGateIndex() + 1;
-        ASSERT_FALSE(store.Empty()) << names[v];
-        for (const ExecOptions& config : ResumeConfigs()) {
-            JobCheckpoint copy = store;
-            CheckpointRunStats stats;
-            ExecOptions o = config;
-            o.checkpoint_store = &copy;
-            o.checkpoint_stats = &stats;
-            EXPECT_EQ(Execute(program, eval, inputs, o), want)
-                << names[v] << " mode=" << int(o.mode)
-                << " threads=" << o.num_threads
-                << " batch=" << o.batch_size;
-            EXPECT_EQ(stats.resumes, 1u)
-                << names[v] << " mode=" << int(o.mode)
-                << " threads=" << o.num_threads
-                << " batch=" << o.batch_size;
-            EXPECT_GT(stats.gates_resumed, 0u) << names[v];
-            EXPECT_EQ(stats.corrupt_discarded, 0u) << names[v];
+        for (const CheckpointCut cut :
+             {CheckpointCut::kOrdinal, CheckpointCut::kLevel}) {
+            const JobCheckpoint store = CutRecord(program, inputs, cut);
+            ASSERT_FALSE(store.Empty()) << names[v];
+            // A tight plan may place an overwriter below a level cut its
+            // victim's readers sit above: such a record is refused.
+            const bool resumable = CutValidForProgram(cut, program);
+            for (ExecOptions o : ExecuteConfigs()) {
+                JobCheckpoint copy = store;
+                CheckpointRunStats stats;
+                o.checkpoint_store = &copy;
+                o.checkpoint_stats = &stats;
+                const std::string where =
+                    std::string(names[v]) + " cut=" +
+                    std::to_string(int(cut)) +
+                    " threads=" + std::to_string(o.num_threads) +
+                    " batch=" + std::to_string(o.batch_size);
+                EXPECT_EQ(Execute(program, eval, inputs, o), want) << where;
+                EXPECT_EQ(stats.resumes, resumable ? 1u : 0u) << where;
+                EXPECT_EQ(stats.gates_resumed,
+                          resumable ? store.gates_completed : 0u)
+                    << where;
+                EXPECT_EQ(stats.corrupt_discarded, resumable ? 0u : 1u)
+                    << where;
+            }
         }
     }
 }

@@ -1,15 +1,20 @@
 /**
  * @file
- * Dependency-counting executor tests: equivalence against the sequential
- * interpreter and the wave-barrier path on plaintext and encrypted
- * circuits, exact profile accounting under concurrency, argument
- * validation, and pool persistence across runs. Run under
- * -DPYTFHE_SANITIZE=thread (ctest -L concurrency) to prove race freedom.
+ * backend::Execute tests: every threads × batch configuration against the
+ * sequential interpreter on plaintext and encrypted circuits, exact
+ * profile accounting under concurrency, argument validation, run
+ * control, worker-pool persistence across runs, and a lone job spreading
+ * over several workers. Run under -DPYTFHE_SANITIZE=thread (ctest -L
+ * concurrency) to prove race freedom.
  */
 #include "backend/executor.h"
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
 #include <random>
+#include <thread>
 
 #include "backend/execute.h"
 
@@ -48,6 +53,21 @@ pasm::Program AdderProgram() {
     return *p;
 }
 
+/** Execute at `threads` × `batch`, optionally on a persistent pool. */
+template <typename Evaluator>
+std::vector<typename Evaluator::Ciphertext> ExecuteAt(
+    const pasm::Program& p, Evaluator& eval,
+    const std::vector<typename Evaluator::Ciphertext>& in, int32_t threads,
+    int32_t batch = 1, Executor* executor = nullptr,
+    const RunControl& control = {}) {
+    ExecOptions options;
+    options.num_threads = threads;
+    options.batch_size = batch;
+    options.executor = executor;
+    options.control = control;
+    return Execute(p, eval, in, options);
+}
+
 /** Bootstrapped (two-input) gates in a program; NOT/COPY are noiseless. */
 uint64_t CountBootstrappedGates(const pasm::Program& p) {
     uint64_t n = 0;
@@ -59,6 +79,8 @@ uint64_t CountBootstrappedGates(const pasm::Program& p) {
 
 class ExecutorPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
+// The name predates the removal of the wave-barrier interpreter; the
+// property is now every Execute configuration against the reference.
 TEST_P(ExecutorPropertyTest, MatchesSequentialAndWavePathOnPlainBits) {
     const Netlist n = RandomNetlist(GetParam() ^ 0xD06, 8, 300);
     const auto p = pasm::Assemble(n);
@@ -66,14 +88,16 @@ TEST_P(ExecutorPropertyTest, MatchesSequentialAndWavePathOnPlainBits) {
     PlainEvaluator eval;
     Executor executor;
     std::mt19937_64 rng(GetParam());
-    for (int32_t threads : {1, 2, 8}) {
-        std::vector<bool> in(8);
-        for (size_t i = 0; i < in.size(); ++i) in[i] = rng() & 1;
-        const auto want = RunProgram(*p, eval, in);
-        EXPECT_EQ(executor.Run(*p, eval, in, threads), want)
-            << "threads=" << threads;
-        EXPECT_EQ(RunProgramThreaded(*p, eval, in, threads), want)
-            << "threads=" << threads;
+    for (int32_t threads : {1, 2, 4}) {
+        for (int32_t batch : {1, 4}) {
+            std::vector<bool> in(8);
+            for (size_t i = 0; i < in.size(); ++i) in[i] = rng() & 1;
+            const auto want = RunProgram(*p, eval, in);
+            EXPECT_EQ(ExecuteAt(*p, eval, in, threads, batch), want)
+                << "threads=" << threads << " batch=" << batch;
+            EXPECT_EQ(ExecuteAt(*p, eval, in, threads, batch, &executor), want)
+                << "persistent, threads=" << threads << " batch=" << batch;
+        }
     }
 }
 
@@ -96,9 +120,12 @@ TEST(Executor, DeepNarrowChainExecutesInDependencyOrder) {
     for (bool in : {false, true}) {
         const std::vector<bool> bits{in};
         const auto want = n.EvaluatePlain(bits);
-        for (int32_t threads : {2, 8})
-            EXPECT_EQ(executor.Run(*p, eval, bits, threads), want)
-                << "in=" << in << " threads=" << threads;
+        for (int32_t threads : {1, 2, 4})
+            for (int32_t batch : {1, 4})
+                EXPECT_EQ(ExecuteAt(*p, eval, bits, threads, batch, &executor),
+                          want)
+                    << "in=" << in << " threads=" << threads
+                    << " batch=" << batch;
     }
 }
 
@@ -113,13 +140,13 @@ TEST(Executor, PoolPersistsAcrossProgramsAndRuns) {
         std::vector<bool> a(16), b(6);
         for (size_t i = 0; i < a.size(); ++i) a[i] = rng() & 1;
         for (size_t i = 0; i < b.size(); ++i) b[i] = rng() & 1;
-        EXPECT_EQ(executor.Run(adder, eval, a, 4),
+        EXPECT_EQ(ExecuteAt(adder, eval, a, 4, 1, &executor),
                   RunProgram(adder, eval, a));
-        EXPECT_EQ(executor.Run(*random_p, eval, b, 4),
+        EXPECT_EQ(ExecuteAt(*random_p, eval, b, 4, 4, &executor),
                   RunProgram(*random_p, eval, b));
     }
     // Workers were created once and reused, never torn down between runs.
-    EXPECT_EQ(executor.pool().NumWorkers(), 3);
+    EXPECT_EQ(executor.NumWorkers(), 3);
 }
 
 TEST(Executor, RejectsBadArguments) {
@@ -128,15 +155,15 @@ TEST(Executor, RejectsBadArguments) {
     Executor executor;
     const std::vector<bool> too_few(3, false);
     const std::vector<bool> right(16, false);
-    EXPECT_THROW((void)executor.Run(p, eval, too_few, 2),
+    EXPECT_THROW((void)ExecuteAt(p, eval, too_few, 2, 1, &executor),
                  std::invalid_argument);
-    EXPECT_THROW((void)executor.Run(p, eval, right, 0),
+    EXPECT_THROW((void)ExecuteAt(p, eval, too_few, 1, 4),
                  std::invalid_argument);
-    EXPECT_THROW((void)executor.Run(p, eval, right, -4),
+    EXPECT_THROW((void)ExecuteAt(p, eval, right, 0, 1, &executor),
                  std::invalid_argument);
+    EXPECT_THROW((void)ExecuteAt(p, eval, right, -4), std::invalid_argument);
+    EXPECT_THROW((void)ExecuteAt(p, eval, right, 2, 0), std::invalid_argument);
     EXPECT_THROW((void)RunProgram(p, eval, too_few), std::invalid_argument);
-    EXPECT_THROW((void)RunProgramThreaded(p, eval, right, 0),
-                 std::invalid_argument);
 }
 
 TEST(Executor, RunControlCancelAbortsAllPaths) {
@@ -148,13 +175,15 @@ TEST(Executor, RunControlCancelAbortsAllPaths) {
     RunControl control;
     control.cancel = &cancel;
     EXPECT_THROW((void)RunProgram(p, eval, in, control), CancelledError);
-    EXPECT_THROW((void)executor.Run(p, eval, in, 1, control),
-                 CancelledError);
-    EXPECT_THROW((void)executor.Run(p, eval, in, 4, control),
-                 CancelledError);
+    for (int32_t threads : {1, 2, 4})
+        for (int32_t batch : {1, 4})
+            EXPECT_THROW((void)ExecuteAt(p, eval, in, threads, batch,
+                                         &executor, control),
+                         CancelledError)
+                << "threads=" << threads << " batch=" << batch;
     // The pool survives an aborted run and executes the next one.
     cancel.store(false);
-    EXPECT_EQ(executor.Run(p, eval, in, 4, control),
+    EXPECT_EQ(ExecuteAt(p, eval, in, 4, 4, &executor, control),
               RunProgram(p, eval, in));
 }
 
@@ -168,11 +197,15 @@ TEST(Executor, RunControlDeadlineAbortsAllPaths) {
                        std::chrono::milliseconds(1);
     EXPECT_THROW((void)RunProgram(p, eval, in, control),
                  DeadlineExceededError);
-    EXPECT_THROW((void)executor.Run(p, eval, in, 4, control),
-                 DeadlineExceededError);
+    for (int32_t threads : {1, 2, 4})
+        for (int32_t batch : {1, 4})
+            EXPECT_THROW((void)ExecuteAt(p, eval, in, threads, batch,
+                                         &executor, control),
+                         DeadlineExceededError)
+                << "threads=" << threads << " batch=" << batch;
     control.deadline = std::chrono::steady_clock::now() +
                        std::chrono::hours(1);
-    EXPECT_EQ(executor.Run(p, eval, in, 4, control),
+    EXPECT_EQ(ExecuteAt(p, eval, in, 4, 1, &executor, control),
               RunProgram(p, eval, in));
 }
 
@@ -185,38 +218,75 @@ TEST(Execute, DispatcherSelectsEquivalentPaths) {
     for (size_t i = 0; i < in.size(); ++i) in[i] = rng() & 1;
     const auto want = RunProgram(p, eval, in);
 
-    for (ExecMode mode : {ExecMode::kAuto, ExecMode::kSequential,
-                          ExecMode::kWaveBarrier,
-                          ExecMode::kDependencyCounting}) {
-        for (int32_t threads : {1, 4}) {
-            if (mode == ExecMode::kSequential && threads != 1) continue;
-            ExecOptions options;
-            options.mode = mode;
-            options.num_threads = threads;
-            EXPECT_EQ(Execute(p, eval, in, options), want)
-                << "mode=" << static_cast<int>(mode)
-                << " threads=" << threads;
+    for (int32_t threads : {1, 2, 4}) {
+        for (int32_t batch : {1, 4}) {
+            EXPECT_EQ(ExecuteAt(p, eval, in, threads, batch), want)
+                << "threads=" << threads << " batch=" << batch;
             // And again through a caller-owned persistent executor.
-            options.executor = &executor;
-            EXPECT_EQ(Execute(p, eval, in, options), want)
-                << "persistent, mode=" << static_cast<int>(mode);
+            EXPECT_EQ(ExecuteAt(p, eval, in, threads, batch, &executor), want)
+                << "persistent, threads=" << threads << " batch=" << batch;
         }
     }
 }
 
-TEST(Execute, WaveBarrierRejectsRunControl) {
-    const auto p = AdderProgram();
-    PlainEvaluator eval;
-    const std::vector<bool> in(16, false);
-    ExecOptions options;
-    options.mode = ExecMode::kWaveBarrier;
-    options.num_threads = 2;
-    options.control.deadline = std::chrono::steady_clock::now() +
-                               std::chrono::hours(1);
-    EXPECT_THROW((void)Execute(p, eval, in, options), std::invalid_argument);
+/**
+ * Plaintext evaluator whose every gate waits (bounded) until a second
+ * thread is inside Apply too: `met` records that two gates of the job ran
+ * at once. After one timed-out wait the rest run unhindered, so a failing
+ * schedule costs one timeout, not one per gate.
+ */
+struct RendezvousEvaluator {
+    using Ciphertext = bool;
+
+    std::atomic<int32_t>* in_apply = nullptr;
+    std::atomic<bool>* met = nullptr;
+    std::atomic<bool>* gave_up = nullptr;
+
+    bool Apply(GateType t, bool a, bool b) const {
+        in_apply->fetch_add(1);
+        const auto until =
+            std::chrono::steady_clock::now() + std::chrono::seconds(2);
+        while (!met->load() && !gave_up->load()) {
+            if (in_apply->load() >= 2) {
+                met->store(true);
+            } else if (std::chrono::steady_clock::now() >= until) {
+                gave_up->store(true);
+            } else {
+                std::this_thread::sleep_for(std::chrono::microseconds(50));
+            }
+        }
+        in_apply->fetch_sub(1);
+        return circuit::EvalGate(t, a, b);
+    }
+};
+
+TEST(Execute, LoneJobRunsOnSeveralWorkersAtOnce) {
+    // 64 independent gates: the whole program is ready at once. With the
+    // library default in-flight cap (4) one claim of batch 4 would fill
+    // the job's allowance and confine it to a single worker; Execute's
+    // cap of threads × batch lets a second worker claim alongside.
+    Netlist n;
+    std::vector<NodeId> ins;
+    for (int i = 0; i < 8; ++i) ins.push_back(n.AddInput());
+    for (int i = 0; i < 64; ++i)
+        n.AddOutput(n.AddGate(GateType::kXor, ins[i % 8], ins[(i + 3) % 8]));
+    const auto p = pasm::Assemble(n);
+    ASSERT_TRUE(p.has_value());
+
+    std::atomic<int32_t> in_apply{0};
+    std::atomic<bool> met{false};
+    std::atomic<bool> gave_up{false};
+    RendezvousEvaluator eval{&in_apply, &met, &gave_up};
+    std::vector<bool> in(8);
+    for (size_t i = 0; i < in.size(); ++i) in[i] = i % 3 == 0;
+    const auto out = ExecuteAt(*p, eval, in, 3, 4);
+    EXPECT_TRUE(met.load()) << "no two gates of the lone job ran at once";
+    EXPECT_FALSE(gave_up.load());
+    PlainEvaluator plain;
+    EXPECT_EQ(out, RunProgram(*p, plain, in));
 }
 
-/** Encrypted equivalence across all three execution paths. */
+/** Encrypted equivalence across every Execute configuration. */
 class EncryptedExecutorTest : public ::testing::Test {
   protected:
     EncryptedExecutorTest()
@@ -259,21 +329,19 @@ TEST_F(EncryptedExecutorTest, AdderEquivalentAcrossAllPathsWithExactProfile) {
     ASSERT_EQ(gates_.profile().bootstrap_count(), expected_bootstraps);
 
     Executor executor;
-    for (int32_t threads : {1, 2, 8}) {
-        gates_.profile().Reset();
-        EXPECT_EQ(Decrypt(executor.Run(p, eval_, inputs, threads)), want)
-            << "executor threads=" << threads;
-        // Concurrent accounting is exact, not approximate: every path
-        // reports the same bootstrap total.
-        EXPECT_EQ(gates_.profile().bootstrap_count(), expected_bootstraps)
-            << "executor threads=" << threads;
-
-        gates_.profile().Reset();
-        EXPECT_EQ(Decrypt(RunProgramThreaded(p, eval_, inputs, threads)),
-                  want)
-            << "wave threads=" << threads;
-        EXPECT_EQ(gates_.profile().bootstrap_count(), expected_bootstraps)
-            << "wave threads=" << threads;
+    for (int32_t threads : {1, 2, 4}) {
+        for (int32_t batch : {1, 4}) {
+            gates_.profile().Reset();
+            EXPECT_EQ(Decrypt(ExecuteAt(p, eval_, inputs, threads, batch,
+                                  &executor)),
+                      want)
+                << "threads=" << threads << " batch=" << batch;
+            // Concurrent accounting is exact, not approximate: every
+            // configuration reports the same bootstrap total.
+            EXPECT_EQ(gates_.profile().bootstrap_count(),
+                      expected_bootstraps)
+                << "threads=" << threads << " batch=" << batch;
+        }
     }
 
     uint64_t decoded = 0;
@@ -283,9 +351,9 @@ TEST_F(EncryptedExecutorTest, AdderEquivalentAcrossAllPathsWithExactProfile) {
 }
 
 TEST_F(EncryptedExecutorTest, SingleThreadBypassIsBitIdentical) {
-    // num_threads == 1 must skip scheduling and produce the exact same
-    // ciphertexts as the sequential interpreter, not just the same
-    // decryptions.
+    // Execute at one thread without batching must skip scheduling and
+    // produce the exact same ciphertexts as the sequential interpreter,
+    // not just the same decryptions.
     const auto p = AdderProgram();
     std::vector<bool> bits(16);
     for (size_t i = 0; i < bits.size(); ++i) bits[i] = (i * 7) % 3 == 0;
@@ -293,7 +361,7 @@ TEST_F(EncryptedExecutorTest, SingleThreadBypassIsBitIdentical) {
 
     const auto sequential = RunProgram(p, eval_, inputs);
     Executor executor;
-    const auto bypass = executor.Run(p, eval_, inputs, 1);
+    const auto bypass = ExecuteAt(p, eval_, inputs, 1, 1, &executor);
     ASSERT_EQ(bypass.size(), sequential.size());
     for (size_t i = 0; i < bypass.size(); ++i) {
         EXPECT_EQ(bypass[i].a, sequential[i].a) << i;

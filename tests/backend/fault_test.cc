@@ -2,7 +2,7 @@
  * @file
  * Fault-injection layer tests: determinism of the FaultPlan schedule,
  * transient-vs-permanent semantics, RetryPolicy backoff arithmetic, and
- * the exception-safety contract of every functional execution path — a
+ * the exception-safety contract of every Execute configuration — a
  * throwing gate fails the run with a typed GateExecutionError, worker
  * threads are joined, and the pool executes the next run bit-exactly.
  * Labeled `concurrency` + `robustness`: run under -DPYTFHE_SANITIZE=thread
@@ -78,6 +78,19 @@ struct ThrowingEvaluator {
         return circuit::EvalGate(t, a, b);
     }
 };
+
+/** Execute at `threads` × `batch` on `executor` with a fault hook. */
+std::vector<bool> ExecuteAt(const pasm::Program& p, PlainEvaluator& eval,
+                      const std::vector<bool>& in, int32_t threads,
+                      int32_t batch, Executor& executor,
+                      const FaultHook& fault = {}) {
+    ExecOptions options;
+    options.num_threads = threads;
+    options.batch_size = batch;
+    options.executor = &executor;
+    options.fault = fault;
+    return Execute(p, eval, in, options);
+}
 
 // ------------------------------------------------------------ the injector
 
@@ -281,27 +294,36 @@ TEST(FaultPaths, ExecutorFailsRunButPoolSurvives) {
     plan.gate_fault_rate = 0.2;
     FaultInjector inj(plan);
     Executor executor;
-    EXPECT_THROW(
-        executor.Run(*program, eval, inputs, 4, {}, FaultHook{&inj, 0, 0}),
-        GateExecutionError);
+    for (int32_t batch : {1, 4}) {
+        EXPECT_THROW(ExecuteAt(*program, eval, inputs, 4, batch, executor,
+                         FaultHook{&inj, 0, 0}),
+                     GateExecutionError)
+            << "batch=" << batch;
+        // The same pool executes the next (fault-free) runs bit-exactly.
+        for (int round = 0; round < 3; ++round)
+            EXPECT_EQ(ExecuteAt(*program, eval, inputs, 4, batch, executor),
+                      expected);
+    }
     EXPECT_GT(inj.counters().Total(), 0u);
-    // The same pool executes the next (fault-free) run bit-exactly.
-    for (int round = 0; round < 3; ++round)
-        EXPECT_EQ(executor.Run(*program, eval, inputs, 4), expected);
 }
 
-TEST(FaultPaths, WaveBarrierPathThrowsAndJoins) {
+TEST(FaultPaths, TransientPoolThrowsAndJoins) {
+    // Without a caller-owned executor every concurrent run stands up and
+    // joins its own pool; a faulted run must still join it cleanly.
     const auto program = WideProgram(16);
     PlainEvaluator eval;
     const auto inputs = RandomBits(4, program->NumInputs());
     FaultPlan plan;
     plan.gate_fault_rate = 0.3;
     FaultInjector inj(plan);
-    EXPECT_THROW(RunProgramThreaded(*program, eval, inputs, 4,
-                                    FaultHook{&inj, 0, 0}),
+    ExecOptions options;
+    options.num_threads = 4;
+    options.fault = FaultHook{&inj, 0, 0};
+    EXPECT_THROW(Execute(*program, eval, inputs, options),
                  GateExecutionError);
     // Fault-free rerun still works and matches the reference.
-    EXPECT_EQ(RunProgramThreaded(*program, eval, inputs, 4),
+    options.fault = {};
+    EXPECT_EQ(Execute(*program, eval, inputs, options),
               RunProgram(*program, eval, inputs));
 }
 
@@ -311,16 +333,23 @@ TEST(FaultPaths, ExecuteForwardsFaultHookOnEveryPath) {
     const auto inputs = RandomBits(5, program->NumInputs());
     FaultPlan plan;
     plan.fault_every_nth_job = 1;
+    plan.transient_clears_after = 4;  // Still fires at caller attempt 3.
     FaultInjector inj(plan);
-    for (ExecMode mode : {ExecMode::kSequential, ExecMode::kWaveBarrier,
-                          ExecMode::kDependencyCounting}) {
-        ExecOptions options;
-        options.mode = mode;
-        options.num_threads = 2;
-        options.fault = FaultHook{&inj, inj.NextRunId(), 0};
-        EXPECT_THROW(Execute(*program, eval, inputs, options),
-                     GateExecutionError)
-            << static_cast<int>(mode);
+    for (int32_t threads : {1, 2, 4}) {
+        for (int32_t batch : {1, 4}) {
+            ExecOptions options;
+            options.num_threads = threads;
+            options.batch_size = batch;
+            options.fault = FaultHook{&inj, inj.NextRunId(), 3};
+            try {
+                (void)Execute(*program, eval, inputs, options);
+                FAIL() << "threads=" << threads << " batch=" << batch;
+            } catch (const GateExecutionError& e) {
+                // Same site and caller attempt identity on both engines.
+                EXPECT_EQ(e.gate_ordinal(), 0u);
+                EXPECT_EQ(e.attempt(), 3u);
+            }
+        }
     }
 }
 
@@ -330,12 +359,16 @@ TEST(FaultPaths, ThrowingChainMidwayKeepsExecutorReusable) {
     eval.throw_at = 17;
     const auto inputs = RandomBits(6, program->NumInputs());
     Executor executor;
-    EXPECT_THROW(executor.Run(*program, eval, inputs, 4),
+    ExecOptions options;
+    options.num_threads = 4;
+    options.executor = &executor;
+    EXPECT_THROW(Execute(*program, eval, inputs, options),
                  GateExecutionError);
     // Counter is past the trigger: subsequent runs evaluate normally.
     PlainEvaluator plain;
-    EXPECT_EQ(executor.Run(*program, plain, inputs, 4),
-              RunProgram(*program, plain, inputs));
+    for (int32_t batch : {1, 4})
+        EXPECT_EQ(ExecuteAt(*program, plain, inputs, 4, batch, executor),
+                  RunProgram(*program, plain, inputs));
 }
 
 // ------------------------------------------------- interruptible stalls
@@ -353,7 +386,6 @@ TEST(FaultInjector, InjectedStallShedsOnCancel) {
 
     std::atomic<bool> cancel{false};
     ExecOptions options;
-    options.mode = ExecMode::kDependencyCounting;
     options.num_threads = 2;
     options.control.cancel = &cancel;
     options.fault.injector = &inj;
@@ -375,7 +407,8 @@ TEST(FaultInjector, InjectedStallShedsOnCancel) {
 }
 
 TEST(FaultInjector, InjectedStallShedsOnDeadline) {
-    // Same contract on the sequential path with a deadline token.
+    // Same contract on the sequential path with a deadline token, and on
+    // the serving scheduler.
     const auto program = ChainProgram(4);
     const auto inputs = RandomBits(71, program->NumInputs());
     FaultPlan plan;
@@ -383,21 +416,23 @@ TEST(FaultInjector, InjectedStallShedsOnDeadline) {
     plan.stall_microseconds = 5e6;
     FaultInjector inj(plan);
 
-    ExecOptions options;
-    options.mode = ExecMode::kSequential;
-    options.control.deadline = std::chrono::steady_clock::now() +
-                               std::chrono::milliseconds(100);
-    options.fault.injector = &inj;
-
     PlainEvaluator eval;
-    const auto start = std::chrono::steady_clock::now();
-    EXPECT_THROW(Execute(*program, eval, inputs, options),
-                 DeadlineExceededError);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    EXPECT_LT(wall, 2.5);
+    for (int32_t threads : {1, 2}) {
+        ExecOptions options;
+        options.num_threads = threads;
+        options.control.deadline = std::chrono::steady_clock::now() +
+                                   std::chrono::milliseconds(100);
+        options.fault.injector = &inj;
+        const auto start = std::chrono::steady_clock::now();
+        EXPECT_THROW(Execute(*program, eval, inputs, options),
+                     DeadlineExceededError)
+            << "threads=" << threads;
+        const double wall =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count();
+        EXPECT_LT(wall, 2.5) << "threads=" << threads;
+    }
 }
 
 }  // namespace

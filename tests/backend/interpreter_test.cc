@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <random>
 
+#include "backend/execute.h"
 #include "pasm/assembler.h"
 
 namespace pytfhe::backend {
@@ -50,11 +51,15 @@ TEST_P(InterpreterPropertyTest, ThreadedMatchesSequential) {
     PlainEvaluator eval;
     std::mt19937_64 rng(GetParam());
     for (int32_t threads : {1, 2, 4}) {
-        std::vector<bool> in(8);
-        for (size_t i = 0; i < in.size(); ++i) in[i] = rng() & 1;
-        EXPECT_EQ(RunProgramThreaded(*p, eval, in, threads),
-                  RunProgram(*p, eval, in))
-            << "threads=" << threads;
+        for (int32_t batch : {1, 4}) {
+            std::vector<bool> in(8);
+            for (size_t i = 0; i < in.size(); ++i) in[i] = rng() & 1;
+            ExecOptions options;
+            options.num_threads = threads;
+            options.batch_size = batch;
+            EXPECT_EQ(Execute(*p, eval, in, options), RunProgram(*p, eval, in))
+                << "threads=" << threads << " batch=" << batch;
+        }
     }
 }
 
@@ -137,7 +142,9 @@ TEST_F(TfheExecutionTest, ThreadedEncryptedExecutionIsCorrect) {
     const Netlist n = RandomNetlist(555, 4, 30);
     const auto p = pasm::Assemble(n);
     const std::vector<bool> in{true, false, true, true};
-    EXPECT_EQ(Decrypt(RunProgramThreaded(*p, eval_, Encrypt(in), 4)),
+    ExecOptions options;
+    options.num_threads = 4;
+    EXPECT_EQ(Decrypt(Execute(*p, eval_, Encrypt(in), options)),
               n.EvaluatePlain(in));
 }
 

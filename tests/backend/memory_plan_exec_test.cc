@@ -1,9 +1,10 @@
 /**
  * @file
  * Memory-planned execution equivalence: a planned program is bit-exact
- * with its unplanned form on every backend — sequential, wave-barrier,
- * dependency-counting (1 and 4 threads), batched dispatch (B=4/8), and
- * the serving runtime under fault-injected retries — for both the
+ * with its unplanned form on every Execute configuration — the sequential
+ * interpreter and the serving scheduler at 1, 2 and 4 threads with batch
+ * sizes 1, 4 and 8 — and on the serving runtime under fault-injected
+ * retries, for both the
  * plaintext plane and the arena-backed TFHE plane. Plus the serving-side
  * arena contracts: the per-job byte budget (ArenaBudgetError at Submit)
  * and retry reuse of the job's arena (no reallocation, stable slab).
@@ -63,22 +64,15 @@ Variants Plan(const Netlist& n) {
                     std::move(*tight)};
 }
 
-/** Every dispatcher configuration a plan must survive. */
+/** Every Execute configuration a plan must survive. */
 std::vector<ExecOptions> AllConfigs() {
     std::vector<ExecOptions> configs;
-    ExecOptions seq;
-    configs.push_back(seq);
-    ExecOptions wave;
-    wave.mode = ExecMode::kWaveBarrier;
-    wave.num_threads = 4;
-    configs.push_back(wave);
-    for (const int32_t threads : {1, 4}) {
+    for (const int32_t threads : {1, 2, 4}) {
         for (const int32_t batch : {1, 4, 8}) {
-            ExecOptions dep;
-            dep.mode = ExecMode::kDependencyCounting;
-            dep.num_threads = threads;
-            dep.batch_size = batch;
-            configs.push_back(dep);
+            ExecOptions o;
+            o.num_threads = threads;
+            o.batch_size = batch;
+            configs.push_back(o);
         }
     }
     return configs;
@@ -230,16 +224,12 @@ TEST_F(PlannedTfheTest, ArenaPlaneMatchesPlainOnEveryBackend) {
                   want)
             << "level-safe plan, threads=" << o.num_threads
             << " batch=" << o.batch_size;
+        // The tight plan permits in-place gates; anti-dependency edges
+        // keep it safe under dependency counting.
+        EXPECT_EQ(Decrypt(Execute(v.tight, eval_, Encrypt(in), o)), want)
+            << "tight plan, threads=" << o.num_threads
+            << " batch=" << o.batch_size;
     }
-    // The tight plan permits in-place gates; cover it on the paths that
-    // honor it (sequential + dependency counting with anti-edges).
-    ExecOptions seq;
-    EXPECT_EQ(Decrypt(Execute(v.tight, eval_, Encrypt(in), seq)), want);
-    ExecOptions dep;
-    dep.mode = ExecMode::kDependencyCounting;
-    dep.num_threads = 4;
-    dep.batch_size = 4;
-    EXPECT_EQ(Decrypt(Execute(v.tight, eval_, Encrypt(in), dep)), want);
 }
 
 TEST_F(PlannedTfheTest, PlaneResetReusesTheSlabAcrossRetries) {

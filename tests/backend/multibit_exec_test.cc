@@ -1,9 +1,9 @@
 /**
  * @file
- * Encrypted LUT-gate execution across every backend path: sequential
- * interpreter, dependency-counting executor, wave-barrier mode, batched
- * dispatch (LUT gates take the scalar lane of a batch-enabled run), each
- * with and without a memory plan — all bit-exact against the plain
+ * Encrypted LUT-gate execution across every Execute configuration:
+ * threads {1, 2, 4} x batch {1, 4} (LUT gates take the scalar lane of a
+ * batch-enabled run), each with and without a memory plan — all
+ * bit-exact against the plain
  * reference under toy multibit parameters. Also the functional planes:
  * PlainEvaluator interprets LUT digits, CountingEvaluator charges one
  * bootstrap per LUT gate.
@@ -111,41 +111,25 @@ TEST_F(MultibitExecTest, CountingEvaluatorChargesOneBootstrapPerLut) {
 
 TEST_F(MultibitExecTest, EncryptedAcrossEveryBackendConfiguration) {
     TfheEvaluator eval(gates_);
-    struct Config {
-        const char* name;
-        bool planned;
-        ExecOptions opts;
-    };
-    ExecOptions seq;
-    ExecOptions dep4;
-    dep4.num_threads = 4;
-    ExecOptions wave3;
-    wave3.num_threads = 3;
-    wave3.mode = ExecMode::kWaveBarrier;
-    ExecOptions batch4;
-    batch4.num_threads = 2;
-    batch4.batch_size = 4;
-    ExecOptions batch8;
-    batch8.num_threads = 4;
-    batch8.batch_size = 8;
-    const Config configs[] = {
-        {"seq", false, seq},           {"dep4", false, dep4},
-        {"wave3", false, wave3},       {"batch4", false, batch4},
-        {"batch8", false, batch8},     {"seq+plan", true, seq},
-        {"dep4+plan", true, dep4},     {"batch8+plan", true, batch8},
-    };
     for (uint32_t trial = 0; trial < 2; ++trial) {
         const uint32_t a = (0x5Au + 31u * trial) & 0xFF;
         const uint32_t c = (0xC3u + 77u * trial) & 0xFF;
         const std::vector<bool> in = InputBits(a, c);
         const std::vector<bool> want = netlist_.EvaluatePlain(in);
         const auto enc = Encrypt(in);
-        for (const Config& cfg : configs) {
-            const pasm::Program& prog = cfg.planned ? planned_ : program_;
-            const auto out = Execute(prog, eval, enc, cfg.opts);
-            EXPECT_EQ(Decrypt(out), want)
-                << cfg.name << " trial " << trial << " (a=" << a
-                << " c=" << c << ")";
+        for (const bool planned : {false, true}) {
+            const pasm::Program& prog = planned ? planned_ : program_;
+            for (const int32_t threads : {1, 2, 4}) {
+                for (const int32_t batch : {1, 4}) {
+                    ExecOptions opts;
+                    opts.num_threads = threads;
+                    opts.batch_size = batch;
+                    EXPECT_EQ(Decrypt(Execute(prog, eval, enc, opts)), want)
+                        << "threads=" << threads << " batch=" << batch
+                        << " planned=" << planned << " trial " << trial
+                        << " (a=" << a << " c=" << c << ")";
+                }
+            }
         }
     }
 }

@@ -574,8 +574,8 @@ TEST(ServingRetry, DeadlineFiresPromptlyWhileParkedInBackoff) {
     const auto program = ChainProgram(6);
     const auto inputs = RandomBits(350, program->NumInputs());
     ServingExecutor<PlainEvaluator>::SubmitOptions submit;
-    submit.deadline = std::chrono::steady_clock::now() +
-                      std::chrono::milliseconds(150);
+    submit.control.deadline = std::chrono::steady_clock::now() +
+                              std::chrono::milliseconds(150);
     const auto start = std::chrono::steady_clock::now();
     auto job = serving.Submit(program, eval, inputs, submit);
     EXPECT_EQ(job->Wait(), JobStatus::kDeadlineExceeded);

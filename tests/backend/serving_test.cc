@@ -282,8 +282,8 @@ TEST(Serving, DeadlineAtAdmissionAndMidRun) {
     ServingExecutor<GaugeEvaluator> serving(executor, opts);
 
     ServingExecutor<GaugeEvaluator>::SubmitOptions expired;
-    expired.deadline = std::chrono::steady_clock::now() -
-                       std::chrono::milliseconds(1);
+    expired.control.deadline = std::chrono::steady_clock::now() -
+                               std::chrono::milliseconds(1);
     auto dead_on_arrival = serving.Submit(ChainProgram(16), eval, {true},
                                           expired);
     EXPECT_EQ(dead_on_arrival->Wait(), JobStatus::kDeadlineExceeded);
@@ -293,8 +293,8 @@ TEST(Serving, DeadlineAtAdmissionAndMidRun) {
     // A 4000-gate serial chain at >= 200us per gate cannot finish within
     // 20ms; the deadline check at gate granularity must cut it off.
     ServingExecutor<GaugeEvaluator>::SubmitOptions tight;
-    tight.deadline = std::chrono::steady_clock::now() +
-                     std::chrono::milliseconds(20);
+    tight.control.deadline = std::chrono::steady_clock::now() +
+                             std::chrono::milliseconds(20);
     auto slow = serving.Submit(ChainProgram(4000), eval, {true}, tight);
     EXPECT_EQ(slow->Wait(), JobStatus::kDeadlineExceeded);
     const JobMetrics m = slow->Metrics();

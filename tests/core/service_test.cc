@@ -257,18 +257,5 @@ TEST(Runtime, ProfileToggleRecordsPerRunDelta) {
               first.bootstrap_count);
 }
 
-TEST(Runtime, DeprecatedPositionalRunStillWorks) {
-    auto compiled = Compile(AdderNetlist());
-    ASSERT_TRUE(compiled.has_value());
-    Client client(tfhe::ToyParams(), 54);
-    auto server = client.MakeServer();
-    const Ciphertexts in = client.EncryptValues(DType::UInt(8), {30, 12});
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    const Ciphertexts out = server->Run(compiled->program, in, 2);
-#pragma GCC diagnostic pop
-    EXPECT_EQ(client.DecryptValue(DType::UInt(8), out), 42);
-}
-
 }  // namespace
 }  // namespace pytfhe::core

@@ -2,15 +2,14 @@
  * @file
  * End-to-end acceptance for bootstrap elision: the same HDL netlist
  * compiled with and without the pass, executed under real encryption on
- * every backend path (sequential interpreter, wave-threaded interpreter,
- * dependency-counting executor), must decrypt to identical results on
- * randomized encrypted inputs.
+ * every Execute configuration (threads {1, 2, 4} x batch {1, 4}), must
+ * decrypt to identical results on randomized encrypted inputs.
  */
 #include <gtest/gtest.h>
 
 #include <random>
 
-#include "backend/executor.h"
+#include "backend/execute.h"
 #include "circuit/builder.h"
 #include "core/compiler.h"
 #include "hdl/word_ops.h"
@@ -85,13 +84,20 @@ class ElisionE2eTest : public ::testing::Test {
             EXPECT_EQ(Decrypt(backend::RunProgram(elided->program, eval, enc)),
                       want)
                 << "elided sequential, trial " << t;
-            EXPECT_EQ(Decrypt(backend::RunProgramThreaded(elided->program,
-                                                          eval, enc, 4)),
-                      want)
-                << "elided threaded, trial " << t;
-            EXPECT_EQ(Decrypt(executor.Run(elided->program, eval, enc, 4)),
-                      want)
-                << "elided executor, trial " << t;
+            for (int32_t threads : {1, 2, 4}) {
+                for (int32_t batch : {1, 4}) {
+                    if (threads == 1 && batch == 1) continue;  // Above.
+                    backend::ExecOptions options;
+                    options.num_threads = threads;
+                    options.batch_size = batch;
+                    options.executor = &executor;
+                    EXPECT_EQ(Decrypt(backend::Execute(elided->program, eval,
+                                                       enc, options)),
+                              want)
+                        << "elided threads=" << threads
+                        << " batch=" << batch << ", trial " << t;
+                }
+            }
             EXPECT_EQ(Decrypt(backend::RunProgram(plain->program, eval, enc)),
                       want)
                 << "bootstrapped sequential, trial " << t;

@@ -53,6 +53,10 @@ struct BinaryGateCase {
     bool truth[4];  // Output for (a, b) = (0,0), (0,1), (1,0), (1,1).
 };
 
+// Lists the case by gate name; the default byte dump would print `fn`
+// and `name` as addresses, which change from build to build.
+void PrintTo(const BinaryGateCase& c, std::ostream* os) { *os << c.name; }
+
 class BinaryGateTest : public GatesTest,
                        public ::testing::WithParamInterface<BinaryGateCase> {};
 
