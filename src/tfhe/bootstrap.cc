@@ -141,44 +141,11 @@ LweSample Bootstrap(Torus32 mu, const LweSample& in,
     return key.ksk().Apply(BlindRotateAndExtract(mu, in, key, s));
 }
 
-LweSample FunctionalBootstrap(const TorusPolynomial& test_vector,
-                              const LweSample& in, const BootstrappingKey& key,
-                              BootstrapScratch* scratch) {
-    assert(test_vector.Size() == key.params().big_n);
-    BootstrapScratch local;
-    BootstrapScratch& s = scratch != nullptr ? *scratch : local;
-    return key.ksk().Apply(RotateAndExtract(test_vector, in, key, s));
-}
-
 const LweSample& FunctionalBootstrapInScratch(
     const TorusPolynomial& test_vector, const LweSample& in,
     const BootstrappingKey& key, BootstrapScratch& s) {
     assert(test_vector.Size() == key.params().big_n);
     return RotateAndExtract(test_vector, in, key, s);
-}
-
-Torus32 EncodePbsMessage(int32_t m, int32_t p) {
-    return ModSwitchToTorus32(2 * m + 1, 4 * p);
-}
-
-int32_t DecodePbsMessage(Torus32 phase, int32_t p) {
-    // Outputs are encoded as f/p; round to the nearest slot.
-    return ((ModSwitchFromTorus32(phase, p) % p) + p) % p;
-}
-
-TorusPolynomial MakeLutTestVector(const Params& params, int32_t p,
-                                  const std::function<int32_t(int32_t)>& f) {
-    const int32_t n = params.big_n;
-    assert(2 * p <= n && "LUT slots need at least two coefficients each");
-    TorusPolynomial tv(n);
-    for (int32_t j = 0; j < n; ++j) {
-        // Slot j covers phases around j / 2N; its message index under the
-        // EncodePbsMessage centering is floor(j * p / N).
-        const int32_t m = static_cast<int32_t>(
-            (static_cast<int64_t>(j) * p) / n);
-        tv.coefs[j] = ModSwitchToTorus32(f(m), p);
-    }
-    return tv;
 }
 
 }  // namespace pytfhe::tfhe

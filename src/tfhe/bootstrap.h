@@ -15,7 +15,6 @@
 #ifndef PYTFHE_TFHE_BOOTSTRAP_H
 #define PYTFHE_TFHE_BOOTSTRAP_H
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -118,44 +117,19 @@ LweSample Bootstrap(Torus32 mu, const LweSample& in,
 
 /**
  * Programmable bootstrapping (Section II-B of the paper): refreshes noise
- * while applying an arbitrary lookup table encoded in the test vector.
- * The test vector is indexed by the 2N-mod-switched phase; slots N..2N-1
- * wrap negacyclically (X^N = -1), so inputs must be encoded in the upper
- * half-circle [0, 1/2) — see EncodePbsMessage.
- */
-LweSample FunctionalBootstrap(const TorusPolynomial& test_vector,
-                              const LweSample& in,
-                              const BootstrappingKey& key,
-                              BootstrapScratch* scratch = nullptr);
-
-/**
- * Allocation-free flavor of FunctionalBootstrap without the key switch:
- * rotates into `s.extracted` (dimension N*k under the extracted key) and
- * returns a reference, valid until the scratch is next used. Callers
- * key-switch into their own storage (key.ksk().ApplyInto). `in` must not
- * alias `s.extracted` or `s.combo`.
+ * while applying the lookup table encoded in `test_vector`, without the
+ * key switch. The test vector is indexed by the 2N-mod-switched phase;
+ * slots N..2N-1 wrap negacyclically (X^N = -1), so inputs must sit in the
+ * upper half-circle [0, 1/2) — the digit encoding of tfhe/multibit.h,
+ * whose LutBootstrapInto is the one caller. Rotates into `s.extracted`
+ * (dimension N*k under the extracted key) and returns a reference, valid
+ * until the scratch is next used. Callers key-switch into their own
+ * storage (key.ksk().ApplyInto). `in` must not alias `s.extracted` or
+ * `s.combo`.
  */
 const LweSample& FunctionalBootstrapInScratch(
     const TorusPolynomial& test_vector, const LweSample& in,
     const BootstrappingKey& key, BootstrapScratch& s);
-
-/**
- * Encodes message m in [0, p) at the center of its LUT slot:
- * (2m + 1) / (4p), always inside [0, 1/2).
- */
-Torus32 EncodePbsMessage(int32_t m, int32_t p);
-
-/**
- * Decodes the output of a LUT built by MakeLutTestVector back to [0, p).
- */
-int32_t DecodePbsMessage(Torus32 phase, int32_t p);
-
-/**
- * Builds the test vector evaluating f : [0, p) -> [0, p) under the
- * EncodePbsMessage encoding. Requires 2p <= N.
- */
-TorusPolynomial MakeLutTestVector(const Params& params, int32_t p,
-                                  const std::function<int32_t(int32_t)>& f);
 
 }  // namespace pytfhe::tfhe
 

@@ -43,7 +43,9 @@ const TorusPolynomial& CachedTestVector(const Params& params, uint32_t table,
 
 }  // namespace
 
-Torus32 EncodeDigit(int32_t v, int32_t p) { return EncodePbsMessage(v, p); }
+Torus32 EncodeDigit(int32_t v, int32_t p) {
+    return ModSwitchToTorus32(2 * v + 1, 4 * p);
+}
 
 int32_t DecodeDigit(Torus32 phase, int32_t p) {
     // phi(v) * 2p = v + 1/2, so the floor recovers v exactly while the
@@ -77,7 +79,7 @@ TorusPolynomial MakeDigitLutTestVector(const Params& params, uint32_t table,
         const uint32_t v =
             static_cast<uint32_t>((static_cast<int64_t>(j) * p) / n);
         const uint32_t entry = (table >> (v * out_bits)) & mask;
-        tv.coefs[j] = EncodePbsMessage(static_cast<int32_t>(entry), p);
+        tv.coefs[j] = EncodeDigit(static_cast<int32_t>(entry), p);
     }
     return tv;
 }

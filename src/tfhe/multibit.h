@@ -11,7 +11,7 @@
  *
  * the center of the v-th of p equal slots covering the upper half-circle
  * [0, 1/2) (the negacyclic ring mirrors the lower half, so everything must
- * stay above it — see FunctionalBootstrap).
+ * stay above it — see FunctionalBootstrapInScratch).
  *
  * The payoff is the weighted LUT gate. Given operand digits v_1..v_k with
  * public integer weights w_1..w_k, the linear combination
@@ -41,7 +41,7 @@
 
 namespace pytfhe::tfhe {
 
-/** phi(v) = (2v + 1) / (4p), the digit encoding (== EncodePbsMessage). */
+/** phi(v) = (2v + 1) / (4p), the one encoding of programmable bootstraps. */
 Torus32 EncodeDigit(int32_t v, int32_t p);
 
 /**
@@ -75,7 +75,7 @@ struct LutKernel {
 /**
  * Builds the test vector mapping a packed digit input v (encoded phi(v))
  * to the digit-encoded table entry at index v: slot j of the ring holds
- * EncodePbsMessage of entry floor(j * p / N). Requires 2p <= N.
+ * EncodeDigit of entry floor(j * p / N). Requires 2p <= N.
  */
 TorusPolynomial MakeDigitLutTestVector(const Params& params, uint32_t table,
                                        uint8_t out_bits, int32_t p);

@@ -81,51 +81,6 @@ TEST_F(BootstrapTest, ChainedBootstrapsStayCorrect) {
     }
 }
 
-TEST_F(BootstrapTest, FunctionalBootstrapEvaluatesLut) {
-    // p = 4 message space; LUT computes (3m + 1) mod 4.
-    const int32_t p = 4;
-    const TorusPolynomial tv = MakeLutTestVector(
-        params_, p, [](int32_t m) { return (3 * m + 1) % 4; });
-    for (int32_t m = 0; m < p; ++m) {
-        LweSample in = LweEncrypt(EncodePbsMessage(m, p),
-                                  params_.lwe_noise_stddev, lwe_key_, rng_);
-        LweSample out = FunctionalBootstrap(tv, in, bk_);
-        EXPECT_EQ(DecodePbsMessage(LwePhase(out, lwe_key_), p),
-                  (3 * m + 1) % 4)
-            << m;
-    }
-}
-
-TEST_F(BootstrapTest, FunctionalBootstrapSquareLut) {
-    const int32_t p = 8;
-    const TorusPolynomial tv = MakeLutTestVector(
-        params_, p, [](int32_t m) { return (m * m) % 8; });
-    for (int32_t m = 0; m < p; ++m) {
-        LweSample in = LweEncrypt(EncodePbsMessage(m, p),
-                                  params_.lwe_noise_stddev, lwe_key_, rng_);
-        LweSample out = FunctionalBootstrap(tv, in, bk_);
-        EXPECT_EQ(DecodePbsMessage(LwePhase(out, lwe_key_), p), (m * m) % 8)
-            << m;
-    }
-}
-
-TEST_F(BootstrapTest, FunctionalBootstrapIdentityRefreshesNoise) {
-    const int32_t p = 4;
-    const TorusPolynomial tv =
-        MakeLutTestVector(params_, p, [](int32_t m) { return m; });
-    // Chain identity LUTs: noise must stay bounded across applications.
-    // Inputs are slot-centered ((2m+1)/4p); outputs land on m/p, so each
-    // round decodes and re-centers before the next bootstrap.
-    int32_t m = 2;
-    for (int i = 0; i < 5; ++i) {
-        LweSample s = LweEncrypt(EncodePbsMessage(m, p),
-                                 params_.lwe_noise_stddev, lwe_key_, rng_);
-        s = FunctionalBootstrap(tv, s, bk_);
-        m = DecodePbsMessage(LwePhase(s, lwe_key_), p);
-        ASSERT_EQ(m, 2) << "iteration " << i;
-    }
-}
-
 TEST(BootstrapSmallParams, WorksAtLargerDimension) {
     Rng rng(52);
     const Params p = SmallParams();

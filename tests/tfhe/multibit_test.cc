@@ -188,6 +188,49 @@ TEST_F(MultibitKernelTest, DigitOperands) {
             ASSERT_EQ(EvalLut(lut, {d, b}), (d + b) & 1) << d << "+" << b;
 }
 
+/** A univariate table at p = 4: (3m + 1) mod 4 over 2-bit outputs. */
+TEST_F(MultibitKernelTest, UnaryLutAtP4) {
+    constexpr int32_t kP = 4;
+    const int8_t weights[1] = {1};
+    uint32_t table = 0;
+    for (uint32_t m = 0; m < kP; ++m) table |= ((3 * m + 1) % 4) << (2 * m);
+    const LutKernel lut{std::span<const int8_t>(weights, 1), 0, table, 2, kP};
+    for (int32_t m = 0; m < kP; ++m)
+        EXPECT_EQ(EvalLut(lut, {m}), (3 * m + 1) % 4) << "m=" << m;
+}
+
+/** A univariate table at p = 8: m^2 mod 8 over 3-bit outputs. */
+TEST_F(MultibitKernelTest, SquareLutAtP8) {
+    constexpr int32_t kP = 8;
+    const int8_t weights[1] = {1};
+    uint32_t table = 0;
+    for (uint32_t m = 0; m < kP; ++m) table |= ((m * m) % 8) << (3 * m);
+    const LutKernel lut{std::span<const int8_t>(weights, 1), 0, table, 3, kP};
+    for (int32_t m = 0; m < kP; ++m)
+        EXPECT_EQ(EvalLut(lut, {m}), (m * m) % 8) << "m=" << m;
+}
+
+/**
+ * Outputs land at slot centres, so each one feeds the next bootstrap as
+ * is: 20 identity LUTs in a row on a 2-bit digit, never re-encrypted.
+ */
+TEST_F(MultibitKernelTest, ChainedIdentityLutsFeedEachOther) {
+    constexpr int32_t kP = 16;
+    const int8_t weights[1] = {1};
+    // Entry i = i, 2 bits each: 0b11'10'01'00.
+    const LutKernel lut{std::span<const int8_t>(weights, 1), 0, 0xE4, 2, kP};
+    for (int32_t v = 0; v < 4; ++v) {
+        LweSample s = EncryptDigit(v, kP);
+        for (int i = 0; i < 20; ++i) {
+            const LweCView ops[1] = {ViewOf(s)};
+            LutBootstrapInto(gates_, lut, std::span<const LweCView>(ops, 1),
+                             ViewOf(s), &scratch_);
+            ASSERT_EQ(LweDecryptDigit(s, secret_.lwe_key, kP), v)
+                << "v=" << v << " iteration " << i;
+        }
+    }
+}
+
 /** The output view may alias an operand: inputs are read first. */
 TEST_F(MultibitKernelTest, InPlaceOutputAliasesOperand) {
     constexpr int32_t kP = 16;
