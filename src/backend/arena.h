@@ -367,23 +367,12 @@ class ValuePlane<Evaluator,
     void Apply(Evaluator& eval, const pasm::Program& program, uint64_t idx,
                Scratch& scratch) {
         if (program.IsLutGate(idx)) {
-            // Weighted LUT gate: gather operand slot views and dispatch
-            // one programmable bootstrap. Kernel inputs are consumed
+            // Weighted LUT gate: one programmable bootstrap over the
+            // gathered operand slot views. Kernel inputs are consumed
             // before the output view is written, so in-place plans hold.
-            const pasm::DecodedLut l = program.LutAt(idx);
-            tfhe::LweCView ops[circuit::kMaxLutArity];
-            int8_t weights[circuit::kMaxLutArity];
-            const size_t arity = l.operands.size();
-            for (size_t i = 0; i < arity; ++i) {
-                ops[i] = CSlot(l.operands[i].first);
-                weights[i] = l.operands[i].second;
-            }
-            const tfhe::LutKernel kernel{
-                std::span<const int8_t>(weights, arity), l.lo, l.table,
-                l.out_bits, program.MessageModulus()};
-            eval.ApplyLutInto(kernel,
-                              std::span<const tfhe::LweCView>(ops, arity),
-                              arena_.Slot(SlotOf(idx)), scratch);
+            const BatchItem item = BatchItemFor(program, idx);
+            eval.ApplyLutInto(item.lut.Kernel(), item.lut.Ops(), item.out,
+                              scratch);
             return;
         }
         const pasm::DecodedGate g = program.GateAt(idx);
@@ -394,11 +383,31 @@ class ValuePlane<Evaluator,
     }
 
     BatchItem BatchItemFor(const pasm::Program& program, uint64_t idx) {
+        BatchItem item;
+        item.out = arena_.Slot(SlotOf(idx));
+        if (program.IsLutGate(idx)) {
+            // Weighted LUT gate: operand slot views and the table travel
+            // by value in the item's LUT payload.
+            const pasm::DecodedLut l = program.LutAt(idx);
+            item.type = circuit::GateType::kLut;
+            item.lut.arity = static_cast<uint8_t>(l.operands.size());
+            for (size_t i = 0; i < l.operands.size(); ++i) {
+                item.lut.ops[i] = CSlot(l.operands[i].first);
+                item.lut.weights[i] = l.operands[i].second;
+            }
+            item.lut.lo = l.lo;
+            item.lut.table = l.table;
+            item.lut.out_bits = l.out_bits;
+            item.lut.p = program.MessageModulus();
+            return item;
+        }
         const pasm::DecodedGate g = program.GateAt(idx);
-        return BatchItem{g.type, CSlot(g.in0),
-                         program.ProducesLinearDomain(g.in0), CSlot(g.in1),
-                         program.ProducesLinearDomain(g.in1),
-                         arena_.Slot(SlotOf(idx))};
+        item.type = g.type;
+        item.a = CSlot(g.in0);
+        item.a_linear = program.ProducesLinearDomain(g.in0);
+        item.b = CSlot(g.in1);
+        item.b_linear = program.ProducesLinearDomain(g.in1);
+        return item;
     }
 
     std::vector<C> Harvest(const pasm::Program& program) const {

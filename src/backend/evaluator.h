@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "circuit/gate_type.h"
+#include "circuit/netlist.h"
 #include "tfhe/gates.h"
 #include "tfhe/multibit.h"
 
@@ -46,7 +47,9 @@ struct BatchGate {
  * operands and output are spans into a ciphertext slab rather than pointers
  * to LweSample objects. The kernel consumes every lane's inputs before
  * writing any lane's output, so `out` may alias any input view of the same
- * call — which is exactly what an in-place memory plan produces.
+ * call — which is exactly what an in-place memory plan produces. A kLut
+ * lane carries its weighted operands and table in `lut` (a/b are unused);
+ * the payload is held by value so items stay safely copyable.
  */
 struct BatchGateView {
     GateType type = GateType::kNot;
@@ -55,6 +58,24 @@ struct BatchGateView {
     tfhe::LweCView b;
     bool b_linear = false;
     tfhe::LweView out;
+    struct Lut {
+        tfhe::LweCView ops[circuit::kMaxLutArity];
+        int8_t weights[circuit::kMaxLutArity] = {};
+        uint8_t arity = 0;
+        int32_t lo = 0;
+        uint32_t table = 0;
+        uint8_t out_bits = 1;
+        int32_t p = 0;
+
+        /** Kernel description; borrows `weights`, so keep *this alive. */
+        tfhe::LutKernel Kernel() const {
+            return tfhe::LutKernel{std::span<const int8_t>(weights, arity),
+                                   lo, table, out_bits, p};
+        }
+        std::span<const tfhe::LweCView> Ops() const {
+            return std::span<const tfhe::LweCView>(ops, arity);
+        }
+    } lut;
 };
 
 namespace detail {
@@ -187,14 +208,13 @@ class TfheEvaluator {
     }
 
     /**
-     * True iff `t` may be placed in an ApplyBatch call. LUT gates bootstrap
-     * but carry a per-gate test vector and variable arity, which the fused
-     * sign-bootstrap kernel cannot express — they dispatch through
-     * ApplyLutInto on the scalar path instead.
+     * True iff `t` may be placed in an ApplyBatch call: every bootstrapped
+     * kind, LUT gates included. Lanes start from their own test vectors,
+     * so sign gates and LUT gates with different tables share one blind
+     * rotation. LUT lanes travel in the view flavor only (their payload
+     * lives in BatchGateView), which is the one the arena plane builds.
      */
-    static bool Batchable(GateType t) {
-        return circuit::NeedsBootstrap(t) && t != GateType::kLut;
-    }
+    static bool Batchable(GateType t) { return circuit::NeedsBootstrap(t); }
 
     /**
      * Evaluates one weighted LUT gate (multi-bit programs, format v4):
@@ -210,12 +230,12 @@ class TfheEvaluator {
     }
 
     /**
-     * Evaluates `count` bootstrapped gates through one batched blind
-     * rotation. Every item's type must satisfy Batchable(); gate kinds may
-     * be mixed freely — each kind is only a different linear prelude into
-     * the shared +-1/8 bootstrap. Bit-exact per gate vs the scalar Apply.
-     * Staging lives in the scratch, so a warm scratch makes dispatch
-     * allocation-free.
+     * Evaluates `count` bootstrapped two-input gates through one batched
+     * blind rotation. Gate kinds may be mixed freely — each kind is only a
+     * different linear prelude into the shared +-1/8 bootstrap. kLut has
+     * no payload here and is rejected. Bit-exact per gate vs the scalar
+     * Apply. Staging lives in the scratch, so a warm scratch makes
+     * dispatch allocation-free.
      */
     void ApplyBatch(const BatchGate<Ciphertext>* items, int32_t count,
                     BatchScratch& s) const {
@@ -239,17 +259,29 @@ class TfheEvaluator {
     /**
      * View flavor of ApplyBatch for arena-resident lanes: gathers operand
      * slots and scatters output slots directly, no LweSample objects in
-     * the loop. Same batching contract and bit-exactness as above.
+     * the loop. Each lane gets its own prelude and test vector: a sign
+     * gate its coefficients and the +-1/8 vector, a kLut lane its weighted
+     * sum and table (tfhe::BatchedLutBootstrapInto), so a claim mixing
+     * both kinds on one key still runs as one rotation. Bit-exact per
+     * lane vs ApplyInto / ApplyLutInto.
      */
     void ApplyBatch(const BatchGateView* items, int32_t count,
                     BatchScratch& s) const {
         s.view_specs.resize(count);
+        s.luts.resize(count);
         for (int32_t i = 0; i < count; ++i) {
             const BatchGateView& g = items[i];
             tfhe::BatchGateViewSpec& spec = s.view_specs[i];
+            spec = tfhe::BatchGateViewSpec{};
+            spec.out = g.out;
+            if (g.type == GateType::kLut) {
+                s.luts[i] = g.lut.Kernel();
+                spec.lut = &s.luts[i];
+                spec.ops = g.lut.ops;
+                continue;
+            }
             spec.a = g.a;
             spec.b = g.b;
-            spec.out = g.out;
             if (!detail::GatePrelude(g.type, g.a_linear, g.b_linear,
                                      &spec.coef_a, &spec.coef_b,
                                      &spec.offset))
@@ -257,7 +289,8 @@ class TfheEvaluator {
                     "TfheEvaluator::ApplyBatch: non-bootstrapped gate "
                     "type in batch");
         }
-        gates_->BatchedLinearBootstrap(s.view_specs.data(), count, &s);
+        tfhe::BatchedLutBootstrapInto(*gates_, s.view_specs.data(), count,
+                                      s);
     }
 
     /**

@@ -16,6 +16,7 @@
 #define PYTFHE_TFHE_BOOTSTRAP_H
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "tfhe/keyswitch.h"
@@ -57,6 +58,34 @@ class BootstrappingKey {
 };
 
 /**
+ * One LUT gate's kernel-level description (the programmable bootstrap of
+ * tfhe/multibit.h). `weights` are the operand weights (nonzero,
+ * |w| <= 127); `lo` the minimum reachable weighted sum; `table` packs
+ * (hi - lo + 1) entries of `out_bits` bits each, entry i holding the
+ * output digit for weighted sum lo + i; `p` the message modulus shared by
+ * operands and output.
+ */
+struct LutKernel {
+    std::span<const int8_t> weights;
+    int32_t lo = 0;
+    uint32_t table = 0;
+    uint8_t out_bits = 1;
+    int32_t p = 0;
+};
+
+/**
+ * One cached programmable-bootstrap test vector, keyed by the (table,
+ * out_bits, p) triple that fully determines it at a given ring degree.
+ * LUT gates reuse a handful of tables across thousands of bootstraps
+ * (full-adder columns, comparator stages), so a small linear-scan cache
+ * per worker scratch removes the N-coefficient rebuild from the hot path.
+ */
+struct LutTvEntry {
+    uint64_t key = 0;
+    TorusPolynomial tv;
+};
+
+/**
  * All working buffers of one bootstrap. One per worker thread; every buffer
  * keeps its capacity across calls, so a reused scratch makes the whole
  * blind-rotation loop allocation-free.
@@ -70,17 +99,7 @@ struct BootstrapScratch {
     LweSample combo;
     /** Extracted sample (dimension N*k) the blind rotation lands in. */
     LweSample extracted;
-    /**
-     * Per-worker cache of programmable-bootstrap test vectors, keyed by
-     * (table, out_bits, p) — see tfhe/multibit.h. LUT gates reuse a
-     * handful of tables across thousands of bootstraps (full-adder
-     * columns, comparator stages), so a small linear-scan cache removes
-     * the N-coefficient rebuild from the hot path.
-     */
-    struct LutTvEntry {
-        uint64_t key = 0;
-        TorusPolynomial tv;
-    };
+    /** Programmable-bootstrap test vectors (see LutTvEntry). */
     std::vector<LutTvEntry> lut_tv_cache;
 };
 

@@ -62,32 +62,29 @@ void BatchedBlindRotate(std::vector<TLweSample>& accs,
     }
 }
 
-void BatchedBootstrapWithoutKeySwitch(Torus32 mu, const LweSample* const* in,
-                                      LweSample* const* out, int32_t b,
-                                      const BootstrappingKey& key,
-                                      BatchScratch* scratch) {
-    BatchScratch local;
-    BatchScratch& s = scratch != nullptr ? *scratch : local;
+void BatchedRotateExtract(const TorusPolynomial* const* tvs,
+                          const LweSample* const* in, LweSample* const* out,
+                          int32_t b, const BootstrappingKey& key,
+                          BatchScratch& s) {
     const Params& p = key.params();
     const int32_t two_n = 2 * p.big_n;
     EnsureLanes(s, b, p);
-
-    EnsureSize(s.testvect, p.big_n);
-    for (auto& c : s.testvect.coefs) c = mu;
     EnsureSize(s.shifted, p.big_n);
 
     for (int32_t l = 0; l < b; ++l) {
         const LweSample& sample = *in[l];
         assert(sample.N() == p.n);
+        assert(tvs[l]->Size() == p.big_n);
         const int32_t barb = ModSwitchFromTorus32(sample.b, two_n);
         for (int32_t i = 0; i < p.n; ++i)
             s.bara[l][i] = ModSwitchFromTorus32(sample.a[i], two_n);
-        MulByXai(s.shifted, two_n - barb, s.testvect);
+        MulByXai(s.shifted, two_n - barb, *tvs[l]);
         s.acc[l].SetTrivial(s.shifted);
     }
 
     BatchedBlindRotate(s.acc, s.bara, b, key, s);
-    for (int32_t l = 0; l < b; ++l) *out[l] = TLweExtractSample(s.acc[l], 0);
+    for (int32_t l = 0; l < b; ++l)
+        TLweExtractSampleInto(*out[l], s.acc[l], 0);
 }
 
 void BatchedGateBootstrap(Torus32 mu, const LweSample* const* in,
@@ -95,7 +92,10 @@ void BatchedGateBootstrap(Torus32 mu, const LweSample* const* in,
                           const BootstrappingKey& key, BatchScratch* scratch) {
     BatchScratch local;
     BatchScratch& s = scratch != nullptr ? *scratch : local;
-    BatchedBootstrapWithoutKeySwitch(mu, in, out, b, key, &s);
+    EnsureSize(s.testvect, key.params().big_n);
+    for (auto& c : s.testvect.coefs) c = mu;
+    s.tvs.assign(b, &s.testvect);
+    BatchedRotateExtract(s.tvs.data(), in, out, b, key, s);
     for (int32_t l = 0; l < b; ++l) *out[l] = key.ksk().Apply(*out[l]);
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Batched gate bootstrapping: B independent LWE samples through one
+ * Batched bootstrapping: B independent LWE samples through one
  * structure-of-arrays blind rotation.
  *
  * The batch pipeline is hybrid AoS/SoA. Integer-domain state (the TLWE
@@ -10,7 +10,10 @@
  * forward-transformed with one shared twiddle pass per FFT stage, and
  * multiplied against each bootstrapping-key row loaded once for the whole
  * batch (the MATCHA-style key-traffic amortization: the FFT-domain key is
- * tens of megabytes and otherwise streams once per gate).
+ * tens of megabytes and otherwise streams once per gate). Each lane starts
+ * from its own accumulator, so lanes need not share a test vector: sign
+ * bootstraps and programmable (LUT) bootstraps with different tables ride
+ * the same rotation.
  *
  * Every batched entry point is bit-exact per lane against its scalar
  * counterpart in bootstrap.h: the kernels perform the identical IEEE
@@ -44,11 +47,13 @@ struct BatchGateSpec {
 };
 
 /**
- * View flavor of BatchGateSpec for arena-resident operands: lanes read and
- * write ciphertext slots in place. All lane inputs are consumed (into the
- * scratch prelude buffers) before any lane output is written, so an out
- * view may alias any input view of the same call — including inputs of
- * *other* lanes — without affecting results.
+ * One lane of a batched bootstrap over caller-owned views (arena slots).
+ * Without `lut` it is the BatchGateSpec sign gate; with `lut` set it is a
+ * weighted LUT gate over the lut->weights.size() operand views at `ops`
+ * (see tfhe/multibit.h), and coef/a/b/offset are unused. All lane inputs
+ * are consumed (into the scratch prelude buffers) before any lane output
+ * is written, so an out view may alias any input view of the same call —
+ * including inputs of *other* lanes — without affecting results.
  */
 struct BatchGateViewSpec {
     int32_t coef_a = 0;
@@ -57,6 +62,8 @@ struct BatchGateViewSpec {
     LweCView b;
     Torus32 offset = 0;
     LweView out;
+    const LutKernel* lut = nullptr;
+    const LweCView* ops = nullptr;
 };
 
 /**
@@ -69,14 +76,17 @@ struct BatchScratch {
     BatchExternalProductScratch ep;
     std::vector<TLweSample> acc, rotated, product;  ///< One per lane.
     std::vector<std::vector<int32_t>> bara;         ///< One per lane.
-    TorusPolynomial testvect;        ///< Shared: all gates bootstrap to ±mu.
+    TorusPolynomial testvect;        ///< Shared by sign lanes: all ±mu.
     TorusPolynomial shifted;         ///< Per-lane rotation staging buffer.
+    std::vector<const TorusPolynomial*> tvs;  ///< Each lane's test vector.
+    std::vector<LutTvEntry> lut_tv_cache;     ///< LUT test vectors.
     std::vector<LweSample> combo;    ///< Linear preludes (evaluator path).
     std::vector<LweSample> rotated_lwe;  ///< Extracted pre-key-switch bits.
     std::vector<const LweSample*> in_ptrs;  ///< Gather list (evaluator path).
     std::vector<LweSample*> out_ptrs;       ///< Scatter list (evaluator path).
     std::vector<BatchGateSpec> specs;       ///< Dispatcher staging.
     std::vector<BatchGateViewSpec> view_specs;  ///< Dispatcher staging.
+    std::vector<LutKernel> luts;                ///< Dispatcher staging.
 };
 
 /**
@@ -90,18 +100,21 @@ void BatchedBlindRotate(std::vector<TLweSample>& accs,
                         BatchScratch& scratch);
 
 /**
- * Batched BootstrapWithoutKeySwitch: *out[l] encrypts ±mu under the
- * extracted key according to the phase sign of *in[l]. Pointer arrays let
- * callers gather scattered samples (executor value slots) without copies.
+ * Batched mod switch, blind rotation and extraction: lane l starts from
+ * its own test vector *tvs[l] rotated by the mod-switched body of *in[l],
+ * all lanes share one rotation, and *out[l] receives coefficient 0 under
+ * the extracted key (dimension N*k). Every *in[l] is read before any
+ * *out[l] is written. Pointer arrays let callers gather scattered samples
+ * without copies. Bit-exact per lane vs the scalar rotate-and-extract.
  */
-void BatchedBootstrapWithoutKeySwitch(Torus32 mu, const LweSample* const* in,
-                                      LweSample* const* out, int32_t b,
-                                      const BootstrappingKey& key,
-                                      BatchScratch* scratch = nullptr);
+void BatchedRotateExtract(const TorusPolynomial* const* tvs,
+                          const LweSample* const* in, LweSample* const* out,
+                          int32_t b, const BootstrappingKey& key,
+                          BatchScratch& scratch);
 
 /**
- * Full batched gate bootstrap: blind rotate, extract, and key switch each
- * lane back to dimension n. Bit-exact per lane vs Bootstrap.
+ * Full batched gate bootstrap: blind rotate to +-mu, extract, and key
+ * switch each lane back to dimension n. Bit-exact per lane vs Bootstrap.
  */
 void BatchedGateBootstrap(Torus32 mu, const LweSample* const* in,
                           LweSample* const* out, int32_t b,

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdio>
 
+#include "tfhe/multibit.h"
+
 namespace pytfhe::tfhe {
 
 namespace {
@@ -226,70 +228,25 @@ void GateEvaluator::BatchedLinearBootstrap(const BatchGateSpec* specs,
     if (count <= 0) return;
     BatchScratch local;
     BatchScratch& s = scratch != nullptr ? *scratch : local;
-
-    auto t0 = Clock::now();
-    if (static_cast<int32_t>(s.combo.size()) < count) s.combo.resize(count);
-    if (static_cast<int32_t>(s.rotated_lwe.size()) < count)
-        s.rotated_lwe.resize(count);
-    s.in_ptrs.resize(count);
-    s.out_ptrs.resize(count);
+    // Outputs never alias inputs in this flavor, so each output may be
+    // reshaped before any input is read.
+    s.view_specs.resize(count);
     for (int32_t i = 0; i < count; ++i) {
         const BatchGateSpec& g = specs[i];
-        EnsureN(s.combo[i], g.a->N());
-        LweLinearCombineInto(g.coef_a, ViewOf(*g.a), g.coef_b, ViewOf(*g.b),
-                             g.offset, ViewOf(s.combo[i]));
-        s.in_ptrs[i] = &s.combo[i];
-        s.out_ptrs[i] = &s.rotated_lwe[i];
+        EnsureN(*g.out, params().n);
+        s.view_specs[i] = BatchGateViewSpec{g.coef_a, ViewOf(*g.a), g.coef_b,
+                                            ViewOf(*g.b), g.offset,
+                                            ViewOf(*g.out)};
     }
-    profile_.AddLinearNanos(NanosSince(t0));
-
-    auto t1 = Clock::now();
-    BatchedBootstrapWithoutKeySwitch(kEighth, s.in_ptrs.data(),
-                                     s.out_ptrs.data(), count, *key_, &s);
-    profile_.AddBlindRotateNanos(NanosSince(t1));
-
-    auto t2 = Clock::now();
-    for (int32_t i = 0; i < count; ++i)
-        *specs[i].out = key_->ksk().Apply(s.rotated_lwe[i]);
-    profile_.AddKeySwitchNanos(NanosSince(t2));
-    profile_.AddBootstraps(static_cast<uint64_t>(count));
+    BatchedLutBootstrapInto(*this, s.view_specs.data(), count, s);
 }
 
 void GateEvaluator::BatchedLinearBootstrap(const BatchGateViewSpec* specs,
                                            int32_t count,
                                            BatchScratch* scratch) {
-    if (count <= 0) return;
     BatchScratch local;
-    BatchScratch& s = scratch != nullptr ? *scratch : local;
-
-    auto t0 = Clock::now();
-    if (static_cast<int32_t>(s.combo.size()) < count) s.combo.resize(count);
-    if (static_cast<int32_t>(s.rotated_lwe.size()) < count)
-        s.rotated_lwe.resize(count);
-    s.in_ptrs.resize(count);
-    s.out_ptrs.resize(count);
-    // Every lane's inputs are consumed here, before any lane output is
-    // written below — the alias-safety contract of BatchGateViewSpec.
-    for (int32_t i = 0; i < count; ++i) {
-        const BatchGateViewSpec& g = specs[i];
-        EnsureN(s.combo[i], g.a.n);
-        LweLinearCombineInto(g.coef_a, g.a, g.coef_b, g.b, g.offset,
-                             ViewOf(s.combo[i]));
-        s.in_ptrs[i] = &s.combo[i];
-        s.out_ptrs[i] = &s.rotated_lwe[i];
-    }
-    profile_.AddLinearNanos(NanosSince(t0));
-
-    auto t1 = Clock::now();
-    BatchedBootstrapWithoutKeySwitch(kEighth, s.in_ptrs.data(),
-                                     s.out_ptrs.data(), count, *key_, &s);
-    profile_.AddBlindRotateNanos(NanosSince(t1));
-
-    auto t2 = Clock::now();
-    for (int32_t i = 0; i < count; ++i)
-        key_->ksk().ApplyInto(s.rotated_lwe[i], specs[i].out);
-    profile_.AddKeySwitchNanos(NanosSince(t2));
-    profile_.AddBootstraps(static_cast<uint64_t>(count));
+    BatchedLutBootstrapInto(*this, specs, count,
+                            scratch != nullptr ? *scratch : local);
 }
 
 void GateEvaluator::LinearBootstrapInto(int32_t coef_a, LweCView a,

@@ -284,7 +284,12 @@ class GateEvaluator {
     void BatchedLinearBootstrap(const BatchGateSpec* specs, int32_t count,
                                 BatchScratch* scratch = nullptr);
 
-    /** View flavor: lanes gather from / scatter to caller-owned slots. */
+    /**
+     * View flavor: lanes gather from / scatter to caller-owned slots, and
+     * an out view may alias any input view of the call. Lanes with a
+     * `lut` are weighted LUT gates riding the same rotation (this is
+     * BatchedLutBootstrapInto of tfhe/multibit.h).
+     */
     void BatchedLinearBootstrap(const BatchGateViewSpec* specs, int32_t count,
                                 BatchScratch* scratch = nullptr);
 

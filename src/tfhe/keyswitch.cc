@@ -52,10 +52,24 @@ LweSample KeySwitchKey::Apply(const LweSample& in) const {
     return out;
 }
 
+namespace {
+
+/** out -= row over n coefficients; the rows never alias the output. */
+void SubRow(Torus32* __restrict out, const Torus32* __restrict row,
+            int32_t n) {
+    for (int32_t c = 0; c < n; ++c) out[c] -= row[c];
+}
+
+}  // namespace
+
 void KeySwitchKey::ApplyInto(const LweSample& in, LweView out) const {
     assert(in.N() == n_in_);
     assert(out.n == n_out_);
-    LweSetTrivial(out, in.b);
+    // The body accumulates in a register; storing it through out.b once
+    // per digit would force a reload on every row (out.b may alias a row
+    // as far as the compiler knows).
+    Torus32 body = in.b;
+    LweSetTrivial(out, 0);
     // Rounding offset: round each a_i to t digits instead of truncating.
     const uint32_t prec_offset = UINT32_C(1)
                                  << (32 - (1 + base_bit_ * t_));
@@ -66,10 +80,11 @@ void KeySwitchKey::ApplyInto(const LweSample& in, LweView out) const {
             const uint32_t digit = (ai >> (32 - base_bit_ * (j + 1))) & mask;
             if (digit == 0) continue;
             const LweSample& k = At(i, j, static_cast<int32_t>(digit));
-            for (int32_t c = 0; c < n_out_; ++c) out.a[c] -= k.a[c];
-            *out.b -= k.b;
+            SubRow(out.a, k.a.data(), n_out_);
+            body -= k.b;
         }
     }
+    *out.b = body;
 }
 
 size_t KeySwitchKey::ByteSize() const {

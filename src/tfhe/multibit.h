@@ -30,7 +30,9 @@
  * noise accumulates as (sum w_i^2) * V_gate + V_modswitch, checked
  * analytically by tfhe::CheckMultibitParams. The circuit-level contract
  * (arity, table layout, lo bookkeeping) lives in circuit::LutSpec; this
- * header is the cryptographic kernel only and is circuit-agnostic.
+ * header is the cryptographic kernel only and is circuit-agnostic. One
+ * gate's kernel description, tfhe::LutKernel, sits in bootstrap.h so the
+ * batch lanes of bootstrap_batch.h can carry it.
  */
 #ifndef PYTFHE_TFHE_MULTIBIT_H
 #define PYTFHE_TFHE_MULTIBIT_H
@@ -58,21 +60,6 @@ LweSample LweEncryptDigit(int32_t v, int32_t p, double noise_stddev,
 int32_t LweDecryptDigit(const LweSample& sample, const LweKey& key, int32_t p);
 
 /**
- * One LUT gate's kernel-level description. `weights` are the operand
- * weights (nonzero, |w| <= 127); `lo` the minimum reachable weighted sum;
- * `table` packs (hi - lo + 1) entries of `out_bits` bits each, entry i
- * holding the output digit for weighted sum lo + i; `p` the message
- * modulus shared by operands and output.
- */
-struct LutKernel {
-    std::span<const int8_t> weights;
-    int32_t lo = 0;
-    uint32_t table = 0;
-    uint8_t out_bits = 1;
-    int32_t p = 0;
-};
-
-/**
  * Builds the test vector mapping a packed digit input v (encoded phi(v))
  * to the digit-encoded table entry at index v: slot j of the ring holds
  * EncodeDigit of entry floor(j * p / N). Requires 2p <= N.
@@ -92,6 +79,22 @@ TorusPolynomial MakeDigitLutTestVector(const Params& params, uint32_t table,
 void LutBootstrapInto(GateEvaluator& eval, const LutKernel& lut,
                       std::span<const LweCView> ops, LweView out,
                       BootstrapScratch* scratch = nullptr);
+
+/**
+ * Batched LutBootstrapInto: `count` lanes share one SoA blind rotation,
+ * each starting from its own test vector, then key-switch one by one into
+ * their out views. A lane with `lut` set is a weighted LUT gate (its
+ * prelude sum w_i * ops_i + bias and its cached table test vector, exactly
+ * as LutBootstrapInto); a lane without is a sign-bootstrapped boolean gate
+ * (exactly as GateEvaluator::BatchedLinearBootstrap), so one call may mix
+ * both kinds on one key. Every lane's operands are read before any lane's
+ * output is written, so an out view may alias any operand of the call.
+ * Bit-exact per lane vs the scalar kernels; profiles like them. A warm
+ * scratch (same batch size, cached tables) makes the call allocation-free.
+ */
+void BatchedLutBootstrapInto(GateEvaluator& eval,
+                             const BatchGateViewSpec* lanes, int32_t count,
+                             BatchScratch& scratch);
 
 }  // namespace pytfhe::tfhe
 

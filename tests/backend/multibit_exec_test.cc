@@ -1,19 +1,22 @@
 /**
  * @file
  * Encrypted LUT-gate execution across every Execute configuration:
- * threads {1, 2, 4} x batch {1, 4} (LUT gates take the scalar lane of a
- * batch-enabled run), each with and without a memory plan — all
- * bit-exact against the plain
- * reference under toy multibit parameters. Also the functional planes:
- * PlainEvaluator interprets LUT digits, CountingEvaluator charges one
- * bootstrap per LUT gate.
+ * threads {1, 2, 4} x batch {1, 4} (LUT gates ride the batched rotation of
+ * a batch-enabled run), each with and without a memory plan — all
+ * bit-exact against the plain reference under toy multibit parameters.
+ * Serving claims may mix LUT and boolean jobs on one key. Also the
+ * functional planes: PlainEvaluator interprets LUT digits,
+ * CountingEvaluator charges one bootstrap per LUT gate.
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "backend/execute.h"
+#include "backend/serving.h"
 #include "hdl/multibit_ops.h"
 #include "hdl/word_ops.h"
 #include "pasm/assembler.h"
@@ -134,12 +137,84 @@ TEST_F(MultibitExecTest, EncryptedAcrossEveryBackendConfiguration) {
     }
 }
 
-TEST_F(MultibitExecTest, LutGatesAreNotBatchFusable) {
-    // Per-gate test vectors cannot share one sign-bootstrap batch kernel
-    // call; the batch dispatcher must route LUT gates down the scalar
-    // lane. Compile-time check on the dispatch predicate.
-    EXPECT_FALSE(TfheEvaluator::Batchable(circuit::GateType::kLut));
+TEST_F(MultibitExecTest, LutGatesAreBatchFusable) {
+    // Each lane of the batched rotation starts from its own test vector,
+    // so the batch dispatcher claims LUT gates like any bootstrapped gate.
+    EXPECT_TRUE(TfheEvaluator::Batchable(circuit::GateType::kLut));
     EXPECT_TRUE(circuit::NeedsBootstrap(circuit::GateType::kLut));
+}
+
+/** TfheEvaluator that counts batch calls mixing LUT and boolean lanes. */
+class MixCountingEvaluator : public TfheEvaluator {
+  public:
+    using TfheEvaluator::ApplyBatch;
+    using TfheEvaluator::TfheEvaluator;
+
+    void ApplyBatch(const BatchGateView* items, int32_t count,
+                    BatchScratch& s) const {
+        int32_t luts = 0;
+        for (int32_t i = 0; i < count; ++i)
+            luts += items[i].type == circuit::GateType::kLut ? 1 : 0;
+        if (luts > 0 && luts < count)
+            mixed_.fetch_add(1, std::memory_order_relaxed);
+        TfheEvaluator::ApplyBatch(items, count, s);
+    }
+
+    uint64_t mixed() const { return mixed_.load(std::memory_order_relaxed); }
+
+  private:
+    mutable std::atomic<uint64_t> mixed_{0};
+};
+
+bool SameCiphertexts(const std::vector<tfhe::LweSample>& x,
+                     const std::vector<tfhe::LweSample>& y) {
+    if (x.size() != y.size()) return false;
+    for (size_t i = 0; i < x.size(); ++i)
+        if (x[i].a != y[i].a || x[i].b != y[i].b) return false;
+    return true;
+}
+
+/**
+ * Two jobs on one evaluator — the multibit adder (LUT gates) and a
+ * boolean 8-bit adder (sign bootstraps) — through one serving worker with
+ * batch 4 and a per-job cap of 2, so claims take lanes from both jobs and
+ * each mixed claim runs as one rotation. Both jobs' outputs must equal
+ * the batch-1 sequential run bit for bit.
+ */
+TEST_F(MultibitExecTest, OneClaimMixesLutAndBooleanJobsBitExactly) {
+    hdl::Builder b;
+    const hdl::Bits x = hdl::InputBits(b, 8, "x");
+    const hdl::Bits y = hdl::InputBits(b, 8, "y");
+    hdl::OutputBits(b, hdl::Add(b, x, y), "s");
+    std::string error;
+    auto boolean = pasm::Assemble(b.netlist(), &error);
+    ASSERT_TRUE(boolean.has_value()) << error;
+
+    const std::vector<bool> in = InputBits(0xA7, 0x5C);
+    const std::vector<tfhe::LweSample> lut_in = Encrypt(in);
+    std::vector<tfhe::LweSample> bool_in;
+    for (bool bit : in) bool_in.push_back(secret_.Encrypt(bit, rng_));
+
+    TfheEvaluator reference(gates_);
+    const auto lut_want = Execute(program_, reference, lut_in);
+    const auto bool_want = Execute(*boolean, reference, bool_in);
+
+    MixCountingEvaluator eval(gates_);
+    Executor executor;
+    ServingOptions opts;
+    opts.num_workers = 1;
+    opts.batch_size = 4;
+    opts.per_job_inflight_cap = 2;
+    ServingExecutor<MixCountingEvaluator> serving(executor, opts);
+    auto lut_job = serving.Submit(
+        std::make_shared<const pasm::Program>(program_), eval, lut_in);
+    auto bool_job = serving.Submit(
+        std::make_shared<const pasm::Program>(std::move(*boolean)), eval,
+        bool_in);
+    EXPECT_TRUE(SameCiphertexts(lut_job->Outputs(), lut_want));
+    EXPECT_TRUE(SameCiphertexts(bool_job->Outputs(), bool_want));
+    EXPECT_EQ(Decrypt(lut_job->Outputs()), netlist_.EvaluatePlain(in));
+    EXPECT_GT(eval.mixed(), 0u) << "no claim mixed LUT and boolean lanes";
 }
 
 }  // namespace

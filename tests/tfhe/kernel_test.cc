@@ -1,8 +1,9 @@
 /**
  * @file
- * Kernel-level guarantees of the folded FFT and external product:
- * steady-state allocation freedom (counting global allocator), scratch
- * buffer address stability, and concurrent scratch independence.
+ * Kernel-level guarantees of the folded FFT, external product and batched
+ * bootstraps: steady-state allocation freedom (counting global
+ * allocator), scratch buffer address stability, and concurrent scratch
+ * independence.
  */
 #include <gtest/gtest.h>
 
@@ -13,6 +14,8 @@
 #include <vector>
 
 #include "tfhe/bootstrap.h"
+#include "tfhe/gates.h"
+#include "tfhe/multibit.h"
 #include "tfhe/params.h"
 #include "tfhe/tgsw.h"
 
@@ -168,6 +171,65 @@ TEST_F(KernelTest, BlindRotateWithScratchIsAllocationFreeInSteadyState) {
         acc.SetTrivial(tv);
         BlindRotate(acc, bara, bk, &scratch);
     }
+    EXPECT_EQ(AllocCount(), before);
+}
+
+/**
+ * The view-flavored batched gate bootstrap over a warm BatchScratch: the
+ * preludes, rotation, extraction and key switch all reuse scratch
+ * buffers, so a batch of 4 allocates nothing.
+ */
+TEST_F(KernelTest, BatchedLinearBootstrapViewsAreAllocationFreeWhenWarm) {
+    const SecretKeySet secret(params_, rng_);
+    GateEvaluator gates(secret, rng_);
+    const LweSample a = secret.Encrypt(true, rng_);
+    const LweSample b = secret.Encrypt(false, rng_);
+    std::vector<LweSample> out(4, LweSample(params_.n));
+    std::vector<BatchGateViewSpec> specs;
+    for (LweSample& o : out)
+        specs.push_back({+1, ViewOf(a), +1, ViewOf(b), kGateMu, ViewOf(o)});
+    BatchScratch scratch;
+    gates.BatchedLinearBootstrap(specs.data(), 4, &scratch);  // Warm-up.
+
+    const uint64_t before = AllocCount();
+    for (int32_t i = 0; i < 3; ++i)
+        gates.BatchedLinearBootstrap(specs.data(), 4, &scratch);
+    EXPECT_EQ(AllocCount(), before);
+}
+
+/**
+ * Batched LUT lanes (two tables, arities 1 and 2) plus a sign lane over a
+ * warm BatchScratch: cached test vectors and reused buffers, no heap
+ * traffic.
+ */
+TEST_F(KernelTest, BatchedLutBootstrapIsAllocationFreeWhenWarm) {
+    constexpr int32_t kP = 16;
+    const SecretKeySet secret(params_, rng_);
+    GateEvaluator gates(secret, rng_);
+    const LweSample x = LweEncryptDigit(1, kP, params_.lwe_noise_stddev,
+                                        secret.lwe_key, rng_);
+    const LweSample y = LweEncryptDigit(0, kP, params_.lwe_noise_stddev,
+                                        secret.lwe_key, rng_);
+    const int8_t weights[2] = {1, 2};
+    const LutKernel identity{std::span<const int8_t>(weights, 1), 0, 0b10, 1,
+                             kP};
+    const LutKernel xor2{std::span<const int8_t>(weights, 2), 0, 0b0110, 1,
+                         kP};
+    const LweCView ops[2] = {ViewOf(x), ViewOf(y)};
+    std::vector<LweSample> out(3, LweSample(params_.n));
+    std::vector<BatchGateViewSpec> lanes(3);
+    lanes[0].lut = &identity;
+    lanes[0].ops = ops;
+    lanes[1].lut = &xor2;
+    lanes[1].ops = ops;
+    lanes[2] = {+1, ops[0], +1, ops[1], kGateMu, {}};
+    for (int32_t l = 0; l < 3; ++l) lanes[l].out = ViewOf(out[l]);
+    BatchScratch scratch;
+    BatchedLutBootstrapInto(gates, lanes.data(), 3, scratch);  // Warm-up.
+
+    const uint64_t before = AllocCount();
+    for (int32_t i = 0; i < 3; ++i)
+        BatchedLutBootstrapInto(gates, lanes.data(), 3, scratch);
     EXPECT_EQ(AllocCount(), before);
 }
 

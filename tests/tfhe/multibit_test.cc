@@ -258,5 +258,204 @@ TEST_F(MultibitKernelTest, ProfilesAsOneBootstrap) {
     EXPECT_EQ(gates_.profile().Snapshot().bootstrap_count, before + 1);
 }
 
+// ------------------------------------------------- batched LUT bootstrap
+
+bool SameLwe(const LweSample& x, const LweSample& y) {
+    return x.a == y.a && x.b == y.b;
+}
+
+/**
+ * `count` LUT lanes over fresh digit encryptions, wired up as
+ * BatchGateViewSpecs: lane l has arity 1 + l % 4 with binary weights, a
+ * 1- or 2-bit output and table `tables[l]`. Every pointer the specs hold
+ * targets heap storage or elements of vectors sized once here, so the set
+ * may be returned by value.
+ */
+struct LutLanes {
+    std::vector<std::vector<int8_t>> weights;
+    std::vector<std::vector<LweSample>> in;
+    std::vector<std::vector<LweCView>> ops;
+    std::vector<LutKernel> luts;
+    std::vector<LweSample> out;
+    std::vector<BatchGateViewSpec> specs;
+};
+
+LutLanes MakeLutLanes(const std::vector<uint32_t>& tables, int32_t p,
+                      const SecretKeySet& secret, Rng& rng) {
+    const int32_t count = static_cast<int32_t>(tables.size());
+    LutLanes s;
+    s.weights.resize(count);
+    s.in.resize(count);
+    s.ops.resize(count);
+    s.luts.resize(count);
+    s.out.assign(count, LweSample(secret.params.n));
+    s.specs.resize(count);
+    for (int32_t l = 0; l < count; ++l) {
+        const int32_t arity = 1 + l % 4;
+        for (int32_t i = 0; i < arity; ++i) {
+            s.weights[l].push_back(static_cast<int8_t>(1 << i));
+            s.in[l].push_back(LweEncryptDigit(
+                static_cast<int32_t>(rng.UniformBelow(2)), p,
+                secret.params.lwe_noise_stddev, secret.lwe_key, rng));
+        }
+        for (const LweSample& c : s.in[l]) s.ops[l].push_back(ViewOf(c));
+        const uint8_t out_bits = arity <= 2 ? 2 : 1;
+        s.luts[l] = LutKernel{std::span<const int8_t>(s.weights[l]), 0,
+                              tables[l], out_bits, p};
+        s.specs[l].lut = &s.luts[l];
+        s.specs[l].ops = s.ops[l].data();
+        s.specs[l].out = ViewOf(s.out[l]);
+    }
+    return s;
+}
+
+/** Scalar LutBootstrapInto of lane l, through its own fresh scratch. */
+LweSample ScalarLane(GateEvaluator& gates, const LutLanes& s, int32_t l) {
+    LweSample want(gates.params().n);
+    BootstrapScratch scratch;
+    LutBootstrapInto(gates, s.luts[l], s.ops[l], ViewOf(want), &scratch);
+    return want;
+}
+
+/** Plain digit lane l must decrypt to. */
+int32_t PlainLane(const LutLanes& s, int32_t l, const SecretKeySet& secret) {
+    int32_t m = 0;
+    for (size_t i = 0; i < s.in[l].size(); ++i)
+        m += s.weights[l][i] *
+             LweDecryptDigit(s.in[l][i], secret.lwe_key, s.luts[l].p);
+    const uint32_t mask = (1u << s.luts[l].out_bits) - 1;
+    return static_cast<int32_t>((s.luts[l].table >> (m * s.luts[l].out_bits)) &
+                                mask);
+}
+
+/**
+ * Batched LUT lanes equal scalar LutBootstrapInto word for word. b = 1..8
+ * reaches every batched-FFT shape (single lane, AVX2 groups, AVX-512 at 4
+ * and 8 lanes); every lane brings its own table, arity and output width.
+ */
+TEST_F(MultibitKernelTest, BatchedLutLanesMatchScalarWordForWord) {
+    constexpr int32_t kP = 16;
+    BatchScratch scratch;
+    for (int32_t b = 1; b <= 8; ++b) {
+        std::vector<uint32_t> tables;
+        for (int32_t l = 0; l < b; ++l)
+            tables.push_back(0x9E37u * static_cast<uint32_t>(b * 8 + l + 1) &
+                             0xFFFFu);
+        LutLanes s = MakeLutLanes(tables, kP, secret_, rng_);
+        BatchedLutBootstrapInto(gates_, s.specs.data(), b, scratch);
+        for (int32_t l = 0; l < b; ++l) {
+            EXPECT_TRUE(SameLwe(s.out[l], ScalarLane(gates_, s, l)))
+                << "b=" << b << " lane=" << l;
+            EXPECT_EQ(LweDecryptDigit(s.out[l], secret_.lwe_key, kP),
+                      PlainLane(s, l, secret_))
+                << "b=" << b << " lane=" << l;
+        }
+    }
+}
+
+/**
+ * Outputs may alias operands of their own and of other lanes: every
+ * lane's operands are read before any output is written.
+ */
+TEST_F(MultibitKernelTest, BatchedLutOutputsMayAliasAnyOperand) {
+    constexpr int32_t kP = 16;
+    LutLanes s = MakeLutLanes({0x6996u, 0x1u, 0xE4u}, kP, secret_, rng_);
+    std::vector<LweSample> want;
+    for (int32_t l = 0; l < 3; ++l) want.push_back(ScalarLane(gates_, s, l));
+    // Lane 0 (arity 1) writes over lane 1's first operand, lane 1 over
+    // its own second operand, lane 2 over lane 0's only operand.
+    s.specs[0].out = ViewOf(s.in[1][0]);
+    s.specs[1].out = ViewOf(s.in[1][1]);
+    s.specs[2].out = ViewOf(s.in[0][0]);
+    BatchScratch scratch;
+    BatchedLutBootstrapInto(gates_, s.specs.data(), 3, scratch);
+    EXPECT_TRUE(SameLwe(s.in[1][0], want[0]));
+    EXPECT_TRUE(SameLwe(s.in[1][1], want[1]));
+    EXPECT_TRUE(SameLwe(s.in[0][0], want[2]));
+}
+
+/**
+ * One call mixing LUT lanes and sign-bootstrapped boolean lanes on one
+ * key: each lane equals its own scalar kernel.
+ */
+TEST_F(MultibitKernelTest, BatchedLutAndSignLanesShareOneCall) {
+    constexpr int32_t kP = 16;
+    LutLanes luts = MakeLutLanes({0xB4u, 0x2u}, kP, secret_, rng_);
+    const LweSample x = secret_.Encrypt(true, rng_);
+    const LweSample y = secret_.Encrypt(false, rng_);
+    LweSample and_out(params_.n), or_out(params_.n);
+    std::vector<BatchGateViewSpec> specs = {
+        luts.specs[0],
+        {+1, ViewOf(x), +1, ViewOf(y), static_cast<Torus32>(-kGateMu),
+         ViewOf(and_out)},
+        luts.specs[1],
+        {+1, ViewOf(x), +1, ViewOf(y), kGateMu, ViewOf(or_out)},
+    };
+    BatchScratch scratch;
+    BatchedLutBootstrapInto(gates_, specs.data(), 4, scratch);
+    EXPECT_TRUE(SameLwe(luts.out[0], ScalarLane(gates_, luts, 0)));
+    EXPECT_TRUE(SameLwe(luts.out[1], ScalarLane(gates_, luts, 1)));
+    EXPECT_TRUE(SameLwe(and_out, gates_.And(x, y)));
+    EXPECT_TRUE(SameLwe(or_out, gates_.Or(x, y)));
+    EXPECT_EQ(gates_.profile().Snapshot().bootstrap_count, 4u + 2u + 2u);
+}
+
+/**
+ * The per-scratch test-vector cache under batching: a first batch whose
+ * lanes all bring new tables, then a run of batches that keeps one known
+ * table per batch and adds three new ones until the cache crosses its
+ * 128-entry clear mid-batch. Each lane holds a pointer into the cache
+ * while the others are looked up, so any entry moved or freed under it
+ * shows as a mismatch here (and as a use-after-free under ASan).
+ */
+TEST_F(MultibitKernelTest, BatchedTestVectorCacheCrossesItsClear) {
+    constexpr int32_t kP = 16;
+    BatchScratch scratch;
+    uint32_t next_table = 0x100;
+    uint32_t known = 0;
+    for (int32_t round = 0; round < 48; ++round) {
+        std::vector<uint32_t> tables;
+        for (int32_t l = 0; l < 4; ++l)
+            tables.push_back(round > 0 && l == 0 ? known : next_table++);
+        known = tables[3];
+        LutLanes s = MakeLutLanes(tables, kP, secret_, rng_);
+        BatchedLutBootstrapInto(gates_, s.specs.data(), 4, scratch);
+        for (int32_t l = 0; l < 4; ++l)
+            ASSERT_TRUE(SameLwe(s.out[l], ScalarLane(gates_, s, l)))
+                << "round " << round << " lane " << l;
+        ASSERT_LE(scratch.lut_tv_cache.size(), 128u);
+    }
+    EXPECT_GT(next_table - 0x100, 128u) << "the run must cross the clear";
+}
+
+/**
+ * The same bit-exactness at the production multibit-128 parameters
+ * (N = 2048, l = 4), where the batched FFT runs its cross-block stages:
+ * b in {1, 3, 4} with distinct tables, one lane writing over its own
+ * operand.
+ */
+TEST(MultibitProductionTest, BatchedLutLanesMatchScalarAtMultibitParams) {
+    constexpr int32_t kP = 16;
+    Rng rng(2048);
+    const SecretKeySet secret(MultibitParams(), rng);
+    GateEvaluator gates(secret, rng);
+    BatchScratch scratch;
+    uint32_t table = 0x35u;
+    for (const int32_t b : {1, 3, 4}) {
+        std::vector<uint32_t> tables;
+        for (int32_t l = 0; l < b; ++l) tables.push_back(table += 0x2F1u);
+        LutLanes s = MakeLutLanes(tables, kP, secret, rng);
+        std::vector<LweSample> want;
+        for (int32_t l = 0; l < b; ++l)
+            want.push_back(ScalarLane(gates, s, l));
+        s.specs[b - 1].out = ViewOf(s.in[b - 1][0]);
+        BatchedLutBootstrapInto(gates, s.specs.data(), b, scratch);
+        for (int32_t l = 0; l + 1 < b; ++l)
+            EXPECT_TRUE(SameLwe(s.out[l], want[l]))
+                << "b=" << b << " lane=" << l;
+        EXPECT_TRUE(SameLwe(s.in[b - 1][0], want[b - 1])) << "b=" << b;
+    }
+}
+
 }  // namespace
 }  // namespace pytfhe::tfhe
