@@ -203,6 +203,10 @@ class TfheEvaluator {
             case GateType::kLinXnor:
                 return gates_->LinXnor(a, a_linear, b, b_linear);
             case GateType::kLinNot: return gates_->LinNot(a);
+            case GateType::kLut:
+                throw std::invalid_argument(
+                    "TfheEvaluator::Apply: kLut has no payload here; LUT "
+                    "gates run through ApplyLutInto");
         }
         return a;  // Unreachable for valid gate types.
     }

@@ -10,11 +10,7 @@ namespace pytfhe::core {
 
 uint64_t EvaluationKeyBytes(const tfhe::GateEvaluator& gates) {
     const tfhe::BootstrappingKey& key = gates.key();
-    uint64_t bytes = key.BkByteSize();
-    const auto& raw = key.ksk().RawKeys();
-    if (!raw.empty())
-        bytes += raw.size() * (raw[0].a.size() + 1) * sizeof(tfhe::Torus32);
-    return bytes;
+    return key.BkByteSize() + key.ksk().ByteSize();
 }
 
 KeySource FileKeySource(std::string path) {

@@ -18,7 +18,7 @@
  *    (stats().pinned_evicted_bytes): the memory guarantee is
  *    resident <= capacity, resident + pinned <= capacity + in-flight keys.
  *  - Lazy reload: a tenant registered with a KeySource (a callback that
- *    loads the key, e.g. from a CRC32C-v3 evaluation-key artifact on
+ *    loads the key, e.g. from a CRC32C-framed evaluation-key artifact on
  *    disk) is reloaded transparently on a Get() miss. Reloads are
  *    single-flight per tenant — concurrent getters of the same evicted
  *    key wait for one load instead of issuing duplicates — and the cache
@@ -60,11 +60,11 @@ using tfhe::KeyId;
  */
 using KeySource = std::function<std::shared_ptr<tfhe::GateEvaluator>()>;
 
-/** Accounted size of one evaluation key (FFT-domain bk + ksk samples). */
+/** Accounted size of one evaluation key (FFT-domain bk + ksk slab). */
 uint64_t EvaluationKeyBytes(const tfhe::GateEvaluator& gates);
 
 /**
- * A KeySource that opens `path` and loads the CRC32C-v3 evaluation-key
+ * A KeySource that opens `path` and loads the CRC32C-framed evaluation-key
  * artifact (tfhe::SaveEvaluationKey) inside; throws
  * tfhe::CorruptPayloadError on a missing, truncated, or bit-flipped file.
  */

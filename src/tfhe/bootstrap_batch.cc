@@ -95,8 +95,19 @@ void BatchedGateBootstrap(Torus32 mu, const LweSample* const* in,
     EnsureSize(s.testvect, key.params().big_n);
     for (auto& c : s.testvect.coefs) c = mu;
     s.tvs.assign(b, &s.testvect);
-    BatchedRotateExtract(s.tvs.data(), in, out, b, key, s);
-    for (int32_t l = 0; l < b; ++l) *out[l] = key.ksk().Apply(*out[l]);
+    if (static_cast<int32_t>(s.rotated_lwe.size()) < b)
+        s.rotated_lwe.resize(b);
+    s.out_ptrs.resize(b);
+    for (int32_t l = 0; l < b; ++l) s.out_ptrs[l] = &s.rotated_lwe[l];
+    // Every in[l] is read here, before any out[l] is written below.
+    BatchedRotateExtract(s.tvs.data(), in, s.out_ptrs.data(), b, key, s);
+    const int32_t n = key.params().n;
+    s.out_views.resize(b);
+    for (int32_t l = 0; l < b; ++l) {
+        if (out[l]->N() != n) *out[l] = LweSample(n);
+        s.out_views[l] = ViewOf(*out[l]);
+    }
+    key.ksk().ApplyBatchInto(s.rotated_lwe.data(), s.out_views.data(), b);
 }
 
 }  // namespace pytfhe::tfhe

@@ -84,6 +84,7 @@ struct BatchScratch {
     std::vector<LweSample> rotated_lwe;  ///< Extracted pre-key-switch bits.
     std::vector<const LweSample*> in_ptrs;  ///< Gather list (evaluator path).
     std::vector<LweSample*> out_ptrs;       ///< Scatter list (evaluator path).
+    std::vector<LweView> out_views;         ///< Key-switch outputs.
     std::vector<BatchGateSpec> specs;       ///< Dispatcher staging.
     std::vector<BatchGateViewSpec> view_specs;  ///< Dispatcher staging.
     std::vector<LutKernel> luts;                ///< Dispatcher staging.

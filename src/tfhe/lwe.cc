@@ -71,14 +71,20 @@ void LweLinearCombineInto(int32_t coef_a, LweCView a, int32_t coef_b,
 
 LweSample LweEncrypt(Torus32 mu, double noise_stddev, const LweKey& key,
                      Rng& rng) {
-    const int32_t n = key.N();
-    LweSample s(n);
-    s.b = rng.GaussianTorus32(mu, noise_stddev);
-    for (int32_t i = 0; i < n; ++i) {
-        s.a[i] = rng.UniformTorus32();
-        s.b += s.a[i] * static_cast<uint32_t>(key.key[i]);
-    }
+    LweSample s(key.N());
+    LweEncryptInto(mu, noise_stddev, key, rng, ViewOf(s));
     return s;
+}
+
+void LweEncryptInto(Torus32 mu, double noise_stddev, const LweKey& key,
+                    Rng& rng, LweView out) {
+    assert(out.n == key.N());
+    Torus32 b = rng.GaussianTorus32(mu, noise_stddev);
+    for (int32_t i = 0; i < out.n; ++i) {
+        out.a[i] = rng.UniformTorus32();
+        b += out.a[i] * static_cast<uint32_t>(key.key[i]);
+    }
+    *out.b = b;
 }
 
 Torus32 LwePhase(const LweSample& sample, const LweKey& key) {

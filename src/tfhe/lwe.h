@@ -99,6 +99,10 @@ void LweLinearCombineInto(int32_t coef_a, LweCView a, int32_t coef_b,
 LweSample LweEncrypt(Torus32 mu, double noise_stddev, const LweKey& key,
                      Rng& rng);
 
+/** LweEncrypt into caller-owned storage of dimension key.N(). */
+void LweEncryptInto(Torus32 mu, double noise_stddev, const LweKey& key,
+                    Rng& rng, LweView out);
+
 /** Computes the phase b - <a, s> (message plus noise). */
 Torus32 LwePhase(const LweSample& sample, const LweKey& key);
 

@@ -218,8 +218,10 @@ void BatchedLutBootstrapInto(GateEvaluator& eval,
     eval.profile().AddBlindRotateNanos(NanosSince(t1));
 
     auto t2 = Clock::now();
-    for (int32_t i = 0; i < count; ++i)
-        key.ksk().ApplyInto(s.rotated_lwe[i], lanes[i].out);
+    s.out_views.resize(count);
+    for (int32_t i = 0; i < count; ++i) s.out_views[i] = lanes[i].out;
+    key.ksk().ApplyBatchInto(s.rotated_lwe.data(), s.out_views.data(),
+                             count);
     eval.profile().AddKeySwitchNanos(NanosSince(t2));
     eval.profile().AddBootstraps(static_cast<uint64_t>(count));
 }

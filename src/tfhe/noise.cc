@@ -21,9 +21,9 @@ NoiseAnalysis AnalyzeNoise(const Params& p, double elision_safety_margin) {
         (1.0 + p.k * p.big_n) * eps * eps;
     a.blind_rotate_variance = p.n * per_cmux;
 
-    // Key switching from dimension kN to n: every digit subtracts one key
-    // sample (t per input coefficient), plus the rounding of each input
-    // coefficient to t digits.
+    // Key switching from dimension kN to n: every nonzero signed digit
+    // adds or subtracts one key sample (at most t per input coefficient),
+    // plus the rounding of each input coefficient to t digits.
     const double sigma_ks2 = p.lwe_noise_stddev * p.lwe_noise_stddev;
     const double ks_rounding =
         std::pow(2.0, -2.0 * (p.ks_t * p.ks_base_bit + 1)) / 3.0;

@@ -13,8 +13,16 @@ namespace pytfhe::tfhe {
 namespace {
 
 // Version 3: CRC32C-framed body (magic, version, u64 length, body, u32
-// checksum). Version 2 (unframed FreqPolynomial-folded body) still loads.
+// checksum). Version 4 has the same frame and is written only by the
+// object kinds that hold a key-switching key (bootstrapping and
+// evaluation keys), whose key-switching section then stores the
+// signed-digit rows |v| = 1..B/2 only; every other kind keeps writing
+// version 3. Version 2 (unframed FreqPolynomial-folded body) still loads.
+// The key-switching key reader tells the signed layout from the v2/v3 one
+// (all B rows per digit) by its row count, and drops the rows a signed
+// key does not use as it streams.
 constexpr uint32_t kVersion = 3;
+constexpr uint32_t kSignedKskVersion = 4;
 constexpr uint32_t kLegacyVersion = 2;
 
 // Magics, one per object kind.
@@ -24,6 +32,12 @@ constexpr uint32_t kMagicSamples = 0x5054484C;  // "LHTP"
 constexpr uint32_t kMagicSecret = 0x5054484B;   // "KHTP"
 constexpr uint32_t kMagicBk = 0x50544842;       // "BHTP"
 constexpr uint32_t kMagicEk = 0x50544845;       // "EHTP"
+
+/** The framed version an object kind is written at. */
+constexpr uint32_t FramedVersion(uint32_t magic) {
+    return magic == kMagicBk || magic == kMagicEk ? kSignedKskVersion
+                                                  : kVersion;
+}
 
 /** Rejects absurd frame lengths before allocating the body buffer. */
 constexpr uint64_t kMaxBodyBytes = UINT64_C(1) << 31;
@@ -136,7 +150,7 @@ struct Reader {
 
 void WriteFramed(std::ostream& os, uint32_t magic, const std::string& body) {
     W32(os, magic);
-    W32(os, kVersion);
+    W32(os, FramedVersion(magic));
     W64(os, body.size());
     os.write(body.data(), static_cast<std::streamsize>(body.size()));
     W32(os, Crc32c(body.data(), body.size()));
@@ -144,7 +158,8 @@ void WriteFramed(std::ostream& os, uint32_t magic, const std::string& body) {
 
 /**
  * Reads the header and body of one object: validates magic and version,
- * then — for version 3 — the frame length and the CRC32C of the body.
+ * then — for framed versions 3 up to the kind's FramedVersion — the frame
+ * length and the CRC32C of the body.
  * Version-2 streams have no frame, so the body is the rest of the stream.
  */
 bool ReadFramedBody(std::istream& is, uint32_t magic, const char* section,
@@ -167,7 +182,8 @@ bool ReadFramedBody(std::istream& is, uint32_t magic, const char* section,
         *body = rest.str();
         return true;
     }
-    if (v != kVersion) return fail("unsupported version at byte offset 4");
+    if (v < kVersion || v > FramedVersion(magic))
+        return fail("unsupported version at byte offset 4");
     uint64_t len;
     if (!R64(is, &len))
         return fail("truncated frame length at byte offset 8");
@@ -302,13 +318,88 @@ void WriteBkBody(std::ostream& body, const BootstrappingKey& key) {
             for (const auto& f : row) WriteFreqPoly(body, f);
         }
     }
+    // Key-switching key: shape, row count, then each row (i, j, v) in slab
+    // order as a sample body (u64 dimension, mask words, body word).
     const KeySwitchKey& ksk = key.ksk();
     W32(body, static_cast<uint32_t>(ksk.InputN()));
     W32(body, static_cast<uint32_t>(ksk.OutputN()));
     W32(body, static_cast<uint32_t>(ksk.T()));
     W32(body, static_cast<uint32_t>(ksk.BaseBit()));
-    W64(body, ksk.RawKeys().size());
-    for (const auto& s : ksk.RawKeys()) WriteSampleBody(body, s);
+    W64(body, ksk.NumRows());
+    const int32_t n_out = ksk.OutputN();
+    for (int32_t i = 0; i < ksk.InputN(); ++i)
+        for (int32_t j = 0; j < ksk.T(); ++j)
+            for (int32_t v = 1; v <= ksk.RowsPerDigit(); ++v) {
+                const Torus32* row = ksk.Row(i, j, v);
+                W64(body, static_cast<uint64_t>(n_out));
+                for (int32_t c = 0; c <= n_out; ++c) W32(body, row[c]);
+            }
+}
+
+/**
+ * Streams the key-switching key section into its slab. A signed key (v4)
+ * stores rows |v| = 1..B/2 per digit; a v2/v3 key stores v = 0..B-1, of
+ * which rows 1..B/2 encrypt exactly the signed key's messages and the rest
+ * are skipped.
+ */
+std::optional<KeySwitchKey> ReadKskBody(Reader& r, const Params& p) {
+    uint32_t n_in, n_out, t, base_bit;
+    uint64_t count;
+    if (!r.U32(&n_in, "key-switching key header") ||
+        !r.U32(&n_out, "key-switching key header") ||
+        !r.U32(&t, "key-switching key header") ||
+        !r.U32(&base_bit, "key-switching key header") ||
+        !r.U64(&count, "key-switching key header"))
+        return std::nullopt;
+    // k * N in 64 bits: the parameters come from the same untrusted body.
+    if (n_in != static_cast<uint64_t>(p.k) * static_cast<uint64_t>(p.big_n) ||
+        n_out != static_cast<uint32_t>(p.n) ||
+        n_out > static_cast<uint32_t>(KeySwitchKey::kMaxOutputN) ||
+        t == 0 || t >= 32 || base_bit == 0 || base_bit >= 32 ||
+        t * base_bit >= 32) {
+        r.Fail("bad key-switching key shape");
+        return std::nullopt;
+    }
+    const uint64_t digits = static_cast<uint64_t>(n_in) * t;
+    const uint32_t base = UINT32_C(1) << base_bit;
+    const uint32_t half = base / 2;
+    const bool legacy = count == digits * base;
+    if (!legacy && count != digits * half) {
+        r.Fail("key-switching key size mismatch");
+        return std::nullopt;
+    }
+    const uint64_t row_bytes = 8 + 4 * (static_cast<uint64_t>(n_out) + 1);
+    if ((r.body.size() - r.pos) / row_bytes < count) {
+        r.Fail("truncated key-switching key");
+        return std::nullopt;
+    }
+    KeySwitchKey ksk(static_cast<int32_t>(n_in), static_cast<int32_t>(n_out),
+                     static_cast<int32_t>(t),
+                     static_cast<int32_t>(base_bit));
+    const uint32_t v_first = legacy ? 0 : 1;
+    const uint32_t v_last = legacy ? base - 1 : half;
+    for (uint32_t i = 0; i < n_in; ++i)
+        for (uint32_t j = 0; j < t; ++j)
+            for (uint32_t v = v_first; v <= v_last; ++v) {
+                uint64_t dim;
+                if (!r.U64(&dim, "key-switching row dimension"))
+                    return std::nullopt;
+                if (dim != n_out) {
+                    r.Fail("bad key-switching row dimension");
+                    return std::nullopt;
+                }
+                if (v == 0 || v > half) {
+                    r.pos += row_bytes - 8;  // Unused by a signed key.
+                    continue;
+                }
+                Torus32* row = ksk.MutableRow(static_cast<int32_t>(i),
+                                              static_cast<int32_t>(j),
+                                              static_cast<int32_t>(v));
+                for (uint32_t c = 0; c <= n_out; ++c)
+                    if (!r.U32(&row[c], "key-switching row"))
+                        return std::nullopt;
+            }
+    return ksk;
 }
 
 std::optional<BootstrappingKey> ReadBkBody(Reader& r) {
@@ -348,31 +439,9 @@ std::optional<BootstrappingKey> ReadBkBody(Reader& r) {
         }
     }
 
-    uint32_t n_in, n_out, t, base_bit;
-    uint64_t ks_count;
-    if (!r.U32(&n_in, "key-switching key header") ||
-        !r.U32(&n_out, "key-switching key header") ||
-        !r.U32(&t, "key-switching key header") ||
-        !r.U32(&base_bit, "key-switching key header") ||
-        !r.U64(&ks_count, "key-switching key header"))
-        return std::nullopt;
-    if (ks_count > (UINT64_C(1) << 28)) {
-        r.Fail("bad key-switching key count");
-        return std::nullopt;
-    }
-    std::vector<LweSample> ks(ks_count);
-    for (auto& s : ks)
-        if (!ReadSampleBody(r, &s)) return std::nullopt;
-    if (base_bit >= 32 ||
-        ks_count != static_cast<uint64_t>(n_in) * t * (1u << base_bit)) {
-        r.Fail("key-switching key size mismatch");
-        return std::nullopt;
-    }
-    KeySwitchKey ksk = KeySwitchKey::FromRaw(
-        static_cast<int32_t>(n_in), static_cast<int32_t>(n_out),
-        static_cast<int32_t>(t), static_cast<int32_t>(base_bit),
-        std::move(ks));
-    return BootstrappingKey(p, std::move(bk), std::move(ksk));
+    std::optional<KeySwitchKey> ksk = ReadKskBody(r, p);
+    if (!ksk) return std::nullopt;
+    return BootstrappingKey(p, std::move(bk), *std::move(ksk));
 }
 
 }  // namespace

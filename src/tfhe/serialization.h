@@ -12,7 +12,10 @@
  * length, body, 4-byte CRC32C of the body. The checksum catches the
  * corruption a network or disk can silently introduce — a bit-flipped
  * bootstrapping key would otherwise decrypt to wrong plaintexts with no
- * diagnostic. Version-2 files (unframed body, no checksum) still load.
+ * diagnostic. Bootstrapping and evaluation keys are written at version 4:
+ * the same frame, with the signed-digit key-switching key
+ * (tfhe/keyswitch.h). Version-3 keys (all B rows per digit) and
+ * version-2 files (unframed body, no checksum) still load.
  *
  * Every Load* validates the frame and returns nullopt on failure with an
  * error string naming the object section and the byte offset of the
@@ -92,8 +95,8 @@ std::optional<EvaluationKeyArtifact> LoadEvaluationKey(
 /**
  * Generic framed-record escape hatch for higher layers that define their
  * own body encodings (e.g. backend job checkpoints): wraps `body` in the
- * same version-3 frame (magic, version, u64 length, body, CRC32C) every
- * typed Save* above uses, so per-byte corruption and truncation are
+ * same frame (magic, version, u64 length, body, CRC32C) every typed
+ * Save* above uses, so per-byte corruption and truncation are
  * detected identically. `section` names the record kind in diagnostics.
  * Unlike the key/ciphertext loaders, records reject legacy version-2
  * (unchecksummed) frames: new record kinds never shipped without a CRC,

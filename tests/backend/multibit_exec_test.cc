@@ -144,6 +144,25 @@ TEST_F(MultibitExecTest, LutGatesAreBatchFusable) {
     EXPECT_TRUE(circuit::NeedsBootstrap(circuit::GateType::kLut));
 }
 
+TEST_F(MultibitExecTest, ObjectFlavorApplyRejectsLutGates) {
+    // The object-flavor Apply has no operand list or table for a LUT
+    // gate; it must refuse one instead of returning an operand unchanged.
+    TfheEvaluator eval(gates_);
+    TfheEvaluator::WorkerScratch scratch;
+    const auto enc = Encrypt({true, false});
+    try {
+        eval.Apply(circuit::GateType::kLut, enc[0], false, enc[1], false,
+                   scratch);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("ApplyLutInto"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(eval.Apply(circuit::GateType::kLut, enc[0], enc[1]),
+                 std::invalid_argument);
+}
+
 /** TfheEvaluator that counts batch calls mixing LUT and boolean lanes. */
 class MixCountingEvaluator : public TfheEvaluator {
   public:

@@ -3,10 +3,11 @@
  * Corruption sweep for every serialization format: flip each byte (or a
  * stride of bytes for the multi-hundred-KB bootstrapping key) and truncate
  * at each prefix, asserting every mutation yields a typed failure — never
- * a crash, never a silently-wrong object. The sweep covers the five key /
- * ciphertext formats plus the backend's job-checkpoint record, which rides
- * the same v3 frame. Also pins the legacy version-2 compatibility path and
- * the Load*OrThrow wrappers.
+ * a crash, never a silently-wrong object. The sweep covers the six key /
+ * ciphertext formats (the evaluation key in its version-4 signed-digit
+ * layout) plus the backend's job-checkpoint record, which rides the same
+ * frame. Also pins the legacy version-2 compatibility path and the
+ * Load*OrThrow wrappers.
  */
 #include <gtest/gtest.h>
 
@@ -99,7 +100,18 @@ std::vector<Format> MakeFormats() {
              /*flip_stride=*/997});
     }
     {
-        // The backend's job-checkpoint record shares the v3 frame: run a
+        std::stringstream ss;
+        SaveEvaluationKey(ss, bk, KeyId{0x5eed0000c0ffee01});
+        formats.push_back(
+            {"evaluation_key", ss.str(),
+             [](std::istream& is, std::string* e) {
+                 return LoadEvaluationKey(is, e).has_value();
+             },
+             [](std::istream& is) { LoadEvaluationKeyOrThrow(is); },
+             /*flip_stride=*/997});
+    }
+    {
+        // The backend's job-checkpoint record shares the frame: run a
         // short chain halfway, snapshot the live set at an ordinal cut,
         // and sweep the resulting bytes like any key or ciphertext file.
         circuit::Netlist n;
