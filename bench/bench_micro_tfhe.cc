@@ -141,7 +141,8 @@ int main() {
     Report(&results, "gate_bootstrap", scalar_gate_ns);
 
     // ------------------------------------------- batched bootstrap sweep
-    // Per-gate cost of the SoA fused kernel at batch sizes 1/2/4/8, plus
+    // Per-gate cost of the batched bootstrap at batch sizes 1/2/4/8 (each
+    // lane runs the scalar FFT kernel; lanes share the key-row reads), plus
     // the throughput speedup vs the scalar gate bootstrap. The `_ns`
     // metrics are gated lower-is-better and the `speedup_*` metrics
     // higher-is-better by tools/bench_check.

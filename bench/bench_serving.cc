@@ -50,6 +50,12 @@ namespace {
 std::atomic<uint64_t> g_alloc_count{0};
 }  // namespace
 
+// The replacements below allocate with malloc/aligned_alloc and release
+// with free, a pairing GCC cannot see through operator new/delete, so it
+// reports each delete as mismatched. The pairing is correct by design.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
 void* operator new(std::size_t size) {
     g_alloc_count.fetch_add(1, std::memory_order_relaxed);
     if (void* p = std::malloc(size ? size : 1)) return p;
@@ -81,6 +87,8 @@ void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
     std::free(p);
 }
+
+#pragma GCC diagnostic pop
 
 using namespace pytfhe;
 

@@ -1,24 +1,23 @@
 /**
  * @file
- * Batched bootstrapping: B independent LWE samples through one
- * structure-of-arrays blind rotation.
+ * Batched bootstrapping: B independent LWE samples through one blind
+ * rotation.
  *
- * The batch pipeline is hybrid AoS/SoA. Integer-domain state (the TLWE
- * accumulators, rotations, mod switches) stays per-lane and exact; only the
- * floating-point pipeline of each CMUX is batched — gadget digits of all
- * lanes are decomposed into the interleaved BatchFreqPolynomial layout,
- * forward-transformed with one shared twiddle pass per FFT stage, and
- * multiplied against each bootstrapping-key row loaded once for the whole
- * batch (the MATCHA-style key-traffic amortization: the FFT-domain key is
- * tens of megabytes and otherwise streams once per gate). Each lane starts
+ * Integer-domain state (the TLWE accumulators, rotations, mod switches)
+ * is per lane and exact. Each CMUX's floating-point work runs the scalar
+ * FFT kernel once per lane (TGswExternalProductBatch); what the lanes
+ * share is the bootstrapping key: each frequency-domain key row is read
+ * from memory once per batch and reused from cache by the other lanes
+ * (the MATCHA-style key-traffic amortization: the FFT-domain key is tens
+ * of megabytes and otherwise streams once per gate). Each lane starts
  * from its own accumulator, so lanes need not share a test vector: sign
  * bootstraps and programmable (LUT) bootstraps with different tables ride
  * the same rotation.
  *
  * Every batched entry point is bit-exact per lane against its scalar
- * counterpart in bootstrap.h: the kernels perform the identical IEEE
- * operation sequence per lane (see fft_batch_kernels.h), integer paths are
- * exact by construction, and a lane whose mod-switched coefficient is zero
+ * counterpart in bootstrap.h: each lane runs the same kernel calls in the
+ * same order as a scalar bootstrap, integer paths are exact by
+ * construction, and a lane whose mod-switched coefficient is zero
  * contributes an exactly-zero CMUX (zero digits transform to signed zeros
  * that round back to torus zero), matching the scalar skip.
  */
@@ -68,9 +67,8 @@ struct BatchGateViewSpec {
 
 /**
  * All working buffers of one batched bootstrap, sized once per worker.
- * Buffers keep their capacity across calls with a fixed (parameter set,
- * batch size); a ragged final batch of a different size reallocates the
- * frequency planes once.
+ * Buffers keep their capacity across calls with a fixed parameter set; a
+ * batch larger than any before allocates its new lanes once.
  */
 struct BatchScratch {
     BatchExternalProductScratch ep;
@@ -92,8 +90,8 @@ struct BatchScratch {
 
 /**
  * In-place batched blind rotation of accs[0..b): lane l is multiplied by
- * X^{-sum_i bara[l][i] * s_i}, sharing each frequency-domain key row across
- * all lanes. Bit-exact per lane vs BlindRotate.
+ * X^{-sum_i bara[l][i] * s_i}, reading each frequency-domain key row once
+ * for all lanes. Bit-exact per lane vs BlindRotate.
  */
 void BatchedBlindRotate(std::vector<TLweSample>& accs,
                         const std::vector<std::vector<int32_t>>& bara,

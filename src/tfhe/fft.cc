@@ -10,32 +10,53 @@
 #include <mutex>
 #include <new>
 
+#include "tfhe/fft_kernel.h"
+
 namespace pytfhe::tfhe {
+
+namespace batch_detail {
+namespace {
+
+/** The portable tier: one double per "vector", compiled at baseline ISA. */
+struct Portable {
+    using V = double;
+    static constexpr int32_t kWidth = 1;
+    explicit Portable(const NegacyclicFft&) {}
+    static V Load(const double* p) { return *p; }
+    static void Store(double* p, V v) { *p = v; }
+    static V Set1(double x) { return x; }
+    static V Add(V a, V b) { return a + b; }
+    static V Sub(V a, V b) { return a - b; }
+    static V Mul(V a, V b) { return a * b; }
+    static void StoreRounded(Torus32* out, V biased) {
+        assert(biased >= 0x1p52 && biased < 0x1p53);  // |x| < 2^51
+        uint64_t bits;
+        std::memcpy(&bits, &biased, sizeof(bits));
+        *out = static_cast<Torus32>(bits);
+    }
+};
+
+}  // namespace
+
+const FftKernel kPortableFft = KernelOf<Portable>(1);
+
+}  // namespace batch_detail
 
 namespace {
 constexpr double kPi = 3.14159265358979323846;
-constexpr size_t kAlign = 32;
+constexpr size_t kAlign = 64;
 
-/** Rounds a slot count up so the second plane stays 32-byte aligned. */
-int32_t AlignedStride(int32_t half) { return (half + 3) & ~3; }
+/** Rounds a slot count up so the second plane stays 64-byte aligned. */
+int32_t AlignedStride(int32_t half) { return (half + 7) & ~7; }
 
-/**
- * Round-to-nearest double -> Torus32 without a libm call. Adding
- * 1.5 * 2^52 forces the sum into [2^52, 2^53), where the double ulp is
- * exactly 1, so the mantissa's low bits hold the rounded integer and the
- * low 32 bits are the torus value (the 2^51 bias is 0 mod 2^32). Requires
- * |x| < 2^51 — external-product accumulations peak below 2^50 (decomposed
- * digits < 2^7, torus values < 2^31, N * l * (k+1) < 2^13 addends). Ties
- * round to even rather than llround's away-from-zero; the twist factors
- * are irrational, so exact .5 products do not arise from real data.
- */
-inline Torus32 RoundTorus32(double x) {
-    assert(std::fabs(x) < 2251799813685248.0);  // 2^51
-    constexpr double kRoundMagic = 6755399441055744.0;  // 1.5 * 2^52
-    const double biased = x + kRoundMagic;
-    uint64_t bits;
-    std::memcpy(&bits, &biased, sizeof(bits));
-    return static_cast<Torus32>(bits);
+/** The fastest tier this CPU runs at transform length `half`. */
+const batch_detail::FftKernel& KernelFor(int32_t half) {
+    using namespace batch_detail;
+    static const bool avx512 = Simd512Available();
+    static const bool avx2 = SimdAvailable();
+    if (avx512 && half >= kAvx512Fft.min_half) return kAvx512Fft;
+    if (avx2 && half >= kAvx2Fft.min_half) return kAvx2Fft;
+    return kPortableFft;
 }
 }  // namespace
 
@@ -92,91 +113,30 @@ void FreqPolynomial::Free() {
 void FreqPolynomial::AddMul(const FreqPolynomial& a, const FreqPolynomial& b) {
     const int32_t h = HalfSize();
     assert(a.HalfSize() == h && b.HalfSize() == h);
-    const double* __restrict are = a.Re();
-    const double* __restrict aim = a.Im();
-    const double* __restrict bre = b.Re();
-    const double* __restrict bim = b.Im();
-    double* __restrict rre = Re();
-    double* __restrict rim = Im();
-    for (int32_t i = 0; i < h; ++i) {
-        rre[i] += are[i] * bre[i] - aim[i] * bim[i];
-        rim[i] += are[i] * bim[i] + aim[i] * bre[i];
-    }
+    KernelFor(h).add_mul(Re(), Im(), a.Re(), a.Im(), b.Re(), b.Im(), h);
 }
 
 // ------------------------------------------------------------- NegacyclicFft
 
-NegacyclicFft::NegacyclicFft(int32_t n) : n_(n), half_(n / 2) {
+NegacyclicFft::NegacyclicFft(int32_t n)
+    : n_(n), half_(n / 2), twist_(n / 2), untwist_(n / 2), twiddle_(n / 2),
+      kernel_(&KernelFor(n / 2)) {
     assert(n >= 2 && (n & (n - 1)) == 0);
-    log2half_ = 0;
-    while ((1 << log2half_) < half_) ++log2half_;
-
-    twist_re_.resize(half_);
-    twist_im_.resize(half_);
-    untwist_re_.resize(half_);
-    untwist_im_.resize(half_);
     for (int32_t j = 0; j < half_; ++j) {
         const double ang = -kPi * j / n;
-        twist_re_[j] = std::cos(ang);
-        twist_im_[j] = std::sin(ang);
+        twist_.Re()[j] = std::cos(ang);
+        twist_.Im()[j] = std::sin(ang);
         // Untwist conjugates the twist and folds in the 1/h inverse-FFT
         // normalization.
-        untwist_re_[j] = std::cos(ang) / half_;
-        untwist_im_[j] = -std::sin(ang) / half_;
+        untwist_.Re()[j] = std::cos(ang) / half_;
+        untwist_.Im()[j] = -std::sin(ang) / half_;
     }
-
-    // Twiddles for the stage with half-size hb live at flat offset hb - 1.
-    if (half_ > 1) {
-        tw_re_.resize(half_ - 1);
-        tw_im_.resize(half_ - 1);
-        for (int32_t hb = 1; hb < half_; hb *= 2) {
-            const int32_t len = hb * 2;
-            for (int32_t k = 0; k < hb; ++k) {
-                const double ang = -2.0 * kPi * k / len;
-                tw_re_[hb - 1 + k] = std::cos(ang);
-                tw_im_[hb - 1 + k] = std::sin(ang);
-            }
-        }
-    }
-
-    bitrev_.resize(half_);
-    for (int32_t i = 0; i < half_; ++i) {
-        int32_t r = 0;
-        for (int32_t b = 0; b < log2half_; ++b)
-            if (i & (1 << b)) r |= 1 << (log2half_ - 1 - b);
-        bitrev_[i] = r;
-    }
-}
-
-void NegacyclicFft::FftInPlace(double* re, double* im, bool inverse) const {
-    const int32_t h = half_;
-    for (int32_t i = 0; i < h; ++i) {
-        const int32_t j = bitrev_[i];
-        if (i < j) {
-            std::swap(re[i], re[j]);
-            std::swap(im[i], im[j]);
-        }
-    }
-    const double sign = inverse ? -1.0 : 1.0;
-    for (int32_t hb = 1; hb < h; hb *= 2) {
-        const int32_t len = hb * 2;
-        const double* __restrict wre = &tw_re_[hb - 1];
-        const double* __restrict wim = &tw_im_[hb - 1];
-        for (int32_t base = 0; base < h; base += len) {
-            double* __restrict re0 = re + base;
-            double* __restrict im0 = im + base;
-            double* __restrict re1 = re + base + hb;
-            double* __restrict im1 = im + base + hb;
-            for (int32_t k = 0; k < hb; ++k) {
-                const double cr = wre[k];
-                const double ci = sign * wim[k];
-                const double tre = re1[k] * cr - im1[k] * ci;
-                const double tim = re1[k] * ci + im1[k] * cr;
-                re1[k] = re0[k] - tre;
-                im1[k] = im0[k] - tim;
-                re0[k] += tre;
-                im0[k] += tim;
-            }
+    // Stage hb's twiddles at [hb, 2hb); slot 0 is unused.
+    for (int32_t hb = 1; hb < half_; hb *= 2) {
+        for (int32_t k = 0; k < hb; ++k) {
+            const double ang = -2.0 * kPi * k / (2 * hb);
+            twiddle_.Re()[hb + k] = std::cos(ang);
+            twiddle_.Im()[hb + k] = std::sin(ang);
         }
     }
 }
@@ -184,70 +144,33 @@ void NegacyclicFft::FftInPlace(double* re, double* im, bool inverse) const {
 void NegacyclicFft::Forward(FreqPolynomial& out, const IntPolynomial& p) const {
     assert(p.Size() == n_);
     out.ResizeHalf(half_);
-    const int32_t* __restrict c = p.coefs.data();
-    const double* __restrict tr = twist_re_.data();
-    const double* __restrict ti = twist_im_.data();
-    double* __restrict re = out.Re();
-    double* __restrict im = out.Im();
     for (int32_t j = 0; j < half_; ++j) {
-        const double lo = static_cast<double>(c[j]);
-        const double hi = static_cast<double>(c[j + half_]);
-        // (lo - i*hi) * (tr + i*ti), the X^h -> -i folding with the twist.
-        re[j] = lo * tr[j] + hi * ti[j];
-        im[j] = lo * ti[j] - hi * tr[j];
+        out.Re()[j] = static_cast<double>(p.coefs[j]);
+        out.Im()[j] = static_cast<double>(p.coefs[j + half_]);
     }
-    FftInPlace(re, im, /*inverse=*/false);
+    ForwardPacked(out);
 }
 
 void NegacyclicFft::Forward(FreqPolynomial& out, const TorusPolynomial& p) const {
     assert(p.Size() == n_);
     out.ResizeHalf(half_);
-    const Torus32* __restrict c = p.coefs.data();
-    const double* __restrict tr = twist_re_.data();
-    const double* __restrict ti = twist_im_.data();
-    double* __restrict re = out.Re();
-    double* __restrict im = out.Im();
     for (int32_t j = 0; j < half_; ++j) {
-        const double lo = static_cast<double>(static_cast<int32_t>(c[j]));
-        const double hi =
-            static_cast<double>(static_cast<int32_t>(c[j + half_]));
-        re[j] = lo * tr[j] + hi * ti[j];
-        im[j] = lo * ti[j] - hi * tr[j];
+        out.Re()[j] = static_cast<double>(static_cast<int32_t>(p.coefs[j]));
+        out.Im()[j] =
+            static_cast<double>(static_cast<int32_t>(p.coefs[j + half_]));
     }
-    FftInPlace(re, im, /*inverse=*/false);
+    ForwardPacked(out);
 }
 
 void NegacyclicFft::ForwardPacked(FreqPolynomial& f) const {
     assert(f.HalfSize() == half_);
-    const double* __restrict tr = twist_re_.data();
-    const double* __restrict ti = twist_im_.data();
-    double* __restrict re = f.Re();
-    double* __restrict im = f.Im();
-    for (int32_t j = 0; j < half_; ++j) {
-        const double lo = re[j];
-        const double hi = im[j];
-        re[j] = lo * tr[j] + hi * ti[j];
-        im[j] = lo * ti[j] - hi * tr[j];
-    }
-    FftInPlace(re, im, /*inverse=*/false);
+    kernel_->forward(*this, f.Re(), f.Im());
 }
 
 void NegacyclicFft::InverseInPlace(TorusPolynomial& out,
                                    FreqPolynomial& f) const {
     assert(f.HalfSize() == half_ && out.Size() == n_);
-    double* __restrict re = f.Re();
-    double* __restrict im = f.Im();
-    FftInPlace(re, im, /*inverse=*/true);
-    const double* __restrict ur = untwist_re_.data();
-    const double* __restrict ui = untwist_im_.data();
-    Torus32* __restrict c = out.coefs.data();
-    for (int32_t j = 0; j < half_; ++j) {
-        // a_j = (re + i*im) * (ur + i*ui); p[j] = Re(a), p[j+h] = -Im(a).
-        const double are = re[j] * ur[j] - im[j] * ui[j];
-        const double aim = re[j] * ui[j] + im[j] * ur[j];
-        c[j] = RoundTorus32(are);
-        c[j + half_] = RoundTorus32(-aim);
-    }
+    kernel_->inverse(*this, f.Re(), f.Im(), out.coefs.data());
 }
 
 void NegacyclicFft::Inverse(TorusPolynomial& out, const FreqPolynomial& f,
@@ -277,6 +200,19 @@ void NegacyclicFft::Multiply(TorusPolynomial& result, const IntPolynomial& a,
                              const TorusPolynomial& b) const {
     FftScratch scratch;
     Multiply(result, a, b, scratch);
+}
+
+std::vector<int32_t> BitReversedSlots(int32_t half) {
+    assert(half >= 1 && (half & (half - 1)) == 0);
+    const int32_t bits = std::countr_zero(static_cast<uint32_t>(half));
+    std::vector<int32_t> slots(half);
+    for (int32_t m = 0; m < half; ++m) {
+        int32_t r = 0;
+        for (int32_t b = 0; b < bits; ++b)
+            if (m & (1 << b)) r |= 1 << (bits - 1 - b);
+        slots[m] = r;
+    }
+    return slots;
 }
 
 // -------------------------------------------------------------- ReferenceFft

@@ -15,10 +15,18 @@
  * these h evaluations correspond exactly to negacyclic convolution, with
  * half the butterflies of the naive full-size complex FFT over N points.
  *
+ * Slot order: the forward transform runs decimation-in-frequency stages
+ * and leaves evaluation m in slot BitReversedSlots(h)[m]; the inverse runs
+ * decimation-in-time stages from that order back to coefficients. The
+ * pointwise AddMul does not care about slot order, so no bit-reversal pass
+ * ever runs. Anything stored outside the process (the serialized
+ * bootstrapping key) is permuted to natural order.
+ *
  * This is the workhorse of the external product: the bootstrapping key is
  * stored in the frequency domain once, and each CMUX performs l*(k+1)
  * forward transforms of gadget digits, a pointwise multiply-accumulate, and
- * k+1 inverse transforms.
+ * k+1 inverse transforms. The kernel is hand-vectorized at three ISA tiers
+ * that agree bit for bit (fft_batch_kernels.h).
  *
  * Precision: digits are bounded by Bg/2 <= 2^7 and torus values by 2^31, so
  * every intermediate of the transform stays below N * 2^7 * 2^31 <= 2^49 for
@@ -46,8 +54,9 @@ namespace pytfhe::tfhe {
 
 /**
  * Frequency-domain image of a real negacyclic polynomial of degree < N:
- * h = N/2 complex values in split re/im layout. Both planes live in one
- * 32-byte-aligned allocation so the pointwise kernels vectorize to FMA.
+ * h = N/2 complex values in split re/im layout, in the kernel's
+ * bit-reversed slot order. Both planes live in one 64-byte-aligned
+ * allocation, so every AVX-512 load of the kernel is aligned.
  */
 class FreqPolynomial {
   public:
@@ -83,7 +92,7 @@ class FreqPolynomial {
 
     double* data_ = nullptr;
     int32_t half_ = 0;
-    int32_t stride_ = 0;  ///< half rounded up so Im() is 32-byte aligned too.
+    int32_t stride_ = 0;  ///< half rounded up so Im() is 64-byte aligned too.
 };
 
 /** Reusable temporaries for the const-input Inverse and for Multiply. */
@@ -91,68 +100,15 @@ struct FftScratch {
     FreqPolynomial a, b, acc;
 };
 
-/**
- * Frequency-domain image of B independent negacyclic polynomials in a
- * structure-of-arrays batch layout: slot j of lane l lives at index
- * j * Lanes() + l of each plane, so the B lane values of one slot are
- * contiguous (a four-lane group is one AVX2 vector) and the twist/twiddle
- * factor of slot j is broadcast across the whole group. Both planes share
- * one 32-byte-aligned allocation, like FreqPolynomial.
- *
- * Every batched kernel applies the exact same sequence of IEEE operations
- * to each lane as the scalar FreqPolynomial path applies to one polynomial,
- * so batched results are bit-identical to B scalar runs.
- */
-class BatchFreqPolynomial {
-  public:
-    BatchFreqPolynomial() = default;
-    BatchFreqPolynomial(int32_t half, int32_t lanes) { Resize(half, lanes); }
-    BatchFreqPolynomial(const BatchFreqPolynomial&) = delete;
-    BatchFreqPolynomial& operator=(const BatchFreqPolynomial&) = delete;
-    BatchFreqPolynomial(BatchFreqPolynomial&& other) noexcept {
-        *this = std::move(other);
-    }
-    BatchFreqPolynomial& operator=(BatchFreqPolynomial&& other) noexcept;
-    ~BatchFreqPolynomial() { Free(); }
-
-    int32_t HalfSize() const { return half_; }
-    int32_t Lanes() const { return lanes_; }
-
-    double* Re() { return data_; }
-    const double* Re() const { return data_; }
-    double* Im() { return data_ + stride_; }
-    const double* Im() const { return data_ + stride_; }
-
-    /**
-     * Reshapes to `half` complex slots of `lanes` lanes. No-op (contents
-     * preserved) when the shape matches; reallocates and zero-fills
-     * otherwise.
-     */
-    void Resize(int32_t half, int32_t lanes);
-    void Clear();
-
-    /**
-     * this += a * b pointwise, with the single polynomial `b` broadcast
-     * across every lane of `a` — the batched external product streams each
-     * bootstrapping-key row once for the whole batch.
-     */
-    void AddMulBroadcast(const BatchFreqPolynomial& a,
-                         const FreqPolynomial& b);
-
-  private:
-    void Free();
-
-    double* data_ = nullptr;
-    int32_t half_ = 0;
-    int32_t lanes_ = 0;
-    size_t stride_ = 0;  ///< half * lanes rounded up for Im() alignment.
-};
+namespace batch_detail {
+struct FftKernel;
+}  // namespace batch_detail
 
 /**
  * Plan holding twist and twiddle tables for a fixed ring degree N
- * (a power of two). One plan per parameter set; plans are reusable and
- * const-thread-safe after construction. All transforms run over h = N/2
- * complex points.
+ * (a power of two) and the kernel tier that runs it. One plan per
+ * parameter set; plans are reusable and const-thread-safe after
+ * construction. All transforms run over h = N/2 complex points.
  */
 class NegacyclicFft {
   public:
@@ -196,33 +152,26 @@ class NegacyclicFft {
     void Multiply(TorusPolynomial& result, const IntPolynomial& a,
                   const TorusPolynomial& b) const;
 
-    /**
-     * Batched ForwardPacked: every lane of `f` is packed like ForwardPacked
-     * (Re()[slot] = p[slot], Im()[slot] = p[slot + N/2]); twist and FFT run
-     * in place with one shared twiddle load per FFT stage slot, broadcast
-     * across the lanes. Bit-exact per lane vs ForwardPacked.
-     */
-    void ForwardPackedBatch(BatchFreqPolynomial& f) const;
-
-    /**
-     * Batched inverse transform with torus rounding: lane l of `f` is
-     * rounded into *outs[l] (outs holds f.Lanes() pointers). Destroys `f`.
-     * Bit-exact per lane vs InverseInPlace.
-     */
-    void InverseInPlaceBatch(TorusPolynomial* const* outs,
-                             BatchFreqPolynomial& f) const;
+    /** Twist exp(-i*pi*j/N), slot j. */
+    const FreqPolynomial& TwistTable() const { return twist_; }
+    /** Untwist exp(+i*pi*j/N) / h (the inverse's normalization), slot j. */
+    const FreqPolynomial& UntwistTable() const { return untwist_; }
+    /** Stage twiddles: exp(-2*pi*i*k / (2*hb)) at slot hb + k, k < hb. */
+    const FreqPolynomial& TwiddleTable() const { return twiddle_; }
 
   private:
-    void FftInPlace(double* re, double* im, bool inverse) const;
-
     int32_t n_;
     int32_t half_;
-    int32_t log2half_;
-    std::vector<double> twist_re_, twist_im_;      ///< exp(-i*pi*j/N)
-    std::vector<double> untwist_re_, untwist_im_;  ///< exp(+i*pi*j/N) / h
-    std::vector<double> tw_re_, tw_im_;  ///< h-point FFT twiddles, by stage
-    std::vector<int32_t> bitrev_;        ///< bit reversal over h
+    FreqPolynomial twist_, untwist_, twiddle_;
+    const batch_detail::FftKernel* kernel_;  ///< Tier for this size.
 };
+
+/**
+ * Slot that holds natural-order evaluation m in the forward transform's
+ * output, for every m < half (a power of two): the bit reversal of m over
+ * log2(half) bits, an involution.
+ */
+std::vector<int32_t> BitReversedSlots(int32_t half);
 
 /**
  * The pre-folding full-size transform: an N-point complex FFT of the

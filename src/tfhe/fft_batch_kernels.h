@@ -1,93 +1,63 @@
 /**
  * @file
- * Internal lane-parallel kernels behind the batched FFT entry points.
+ * Internal: the negacyclic FFT kernel at its three ISA tiers.
  *
- * The three hot loops of the batched transform pipeline — twist, butterfly
- * stage, and broadcast multiply-accumulate — exist twice: a portable scalar
- * form compiled with the library's default flags (always present, always
- * tested), and a SIMD form in fft_batch_simd.cc built with explicit AVX2
- * (x86-64, per-file -mavx2) or NEON (aarch64) intrinsics. SimdAvailable()
- * gates dispatch at runtime, so a binary carrying AVX2 code still runs on a
- * CPU without it.
+ * One kernel body (fft_kernel.h) is compiled three times: portable in
+ * fft.cc with the library's default flags, AVX2 in fft_avx2.cc (-mavx2)
+ * and AVX-512F in fft_avx512.cc (-mavx512f). The vector TUs get their
+ * flags only when PYTFHE_BATCH_SIMD is on and the target is x86-64;
+ * without them their tier is empty and its probe reports false. On
+ * aarch64 the portable body runs and -O3 autovectorizes it to NEON.
  *
- * Bit-exactness contract: every kernel performs, for each lane, exactly the
- * scalar expression sequence of the NegacyclicFft hot loops — only
- * mul/add/sub (no FMA, no reassociation), so vector lanes round identically
- * to the scalar path on every ISA.
- *
- * All pointers address the BatchFreqPolynomial slot-major layout: the value
- * of slot j, lane l is at [j * lanes + l].
+ * Every tier evaluates the same per-element expressions in the same order
+ * with mul/add/sub only (no FMA; the library builds with
+ * -ffp-contract=off), so every tier is bit-identical to the portable one.
  */
 #ifndef PYTFHE_TFHE_FFT_BATCH_KERNELS_H
 #define PYTFHE_TFHE_FFT_BATCH_KERNELS_H
 
 #include <cstdint>
 
+#include "tfhe/fft.h"
+
 namespace pytfhe::tfhe::batch_detail {
 
-/**
- * True when fft_batch_simd.cc was compiled with vector intrinsics and the
- * running CPU supports them (cached one-time runtime check on x86-64; NEON
- * is baseline on aarch64). False in portable-only builds.
- */
+/** One tier of the kernel; see NegacyclicFft for the data layout. */
+struct FftKernel {
+    /**
+     * In place: packed p (re[j] = p[j], im[j] = p[j + N/2]) -> its h
+     * evaluations in bit-reversed slot order (twist, then DIF stages).
+     */
+    void (*forward)(const NegacyclicFft& plan, double* re, double* im);
+    /**
+     * Bit-reversed slots -> N torus coefficients in `out` (DIT stages,
+     * then untwist and round). Destroys re/im.
+     */
+    void (*inverse)(const NegacyclicFft& plan, double* re, double* im,
+                    Torus32* out);
+    /** r += a * b pointwise over `half` complex slots. */
+    void (*add_mul)(double* rre, double* rim, const double* are,
+                    const double* aim, const double* bre, const double* bim,
+                    int32_t half);
+    /** Smallest transform length h = N/2 this tier runs. */
+    int32_t min_half;
+};
+
+extern const FftKernel kPortableFft;
+/** All-null unless SimdAvailable(). */
+extern const FftKernel kAvx2Fft;
+/** All-null unless Simd512Available(). */
+extern const FftKernel kAvx512Fft;
+
+/** True when the AVX2 tier was compiled in and the CPU supports AVX2. */
 bool SimdAvailable();
 
 /**
- * Folding twist of every lane: for each slot j,
- *   re' = re * tr[j] + im * ti[j],  im' = re * ti[j] - im * tr[j].
- */
-void SimdTwistForward(double* re, double* im, const double* tr,
-                      const double* ti, int32_t half, int32_t lanes);
-
-/**
- * One radix-2 FFT stage of half-size hb over `half` slots: the butterfly of
- * NegacyclicFft::FftInPlace applied lane-parallel, with the stage twiddles
- * wre/wim (flat tables for this stage) shared across lanes. sign is +1
- * forward, -1 inverse.
- */
-void SimdButterflyStage(double* re, double* im, const double* wre,
-                        const double* wim, double sign, int32_t half,
-                        int32_t hb, int32_t lanes);
-
-/**
- * r += a * b with the single polynomial b (contiguous, one value per slot)
- * broadcast across the lanes of a.
- */
-void SimdAddMulBroadcast(double* rre, double* rim, const double* are,
-                         const double* aim, const double* bre,
-                         const double* bim, int32_t half, int32_t lanes);
-
-/**
- * True when fft_batch_simd512.cc was compiled with AVX-512F and the running
- * CPU supports it. The 512-bit kernels double the vector width of the AVX2
- * path: 8 lanes of one slot per vector when lanes % 8 == 0, or two adjacent
- * slots x 4 lanes with a paired twiddle vector when lanes == 4.
+ * True when the AVX-512F tier was compiled in and the CPU supports it. The
+ * FFT runs this tier whenever it is true and h >= 8, else AVX2 when that
+ * is available and h >= 4, else the portable body.
  */
 bool Simd512Available();
-
-/**
- * AVX-512 SimdTwistForward. Requires lanes % 8 == 0, or lanes == 4 with
- * half even.
- */
-void Simd512TwistForward(double* re, double* im, const double* tr,
-                         const double* ti, int32_t half, int32_t lanes);
-
-/**
- * AVX-512 SimdButterflyStage. Requires lanes % 8 == 0, or lanes == 4 with
- * hb >= 2 (the hb == 1 stage pairs adjacent slots inside one vector; the
- * dispatcher routes it to the AVX2 kernel instead).
- */
-void Simd512ButterflyStage(double* re, double* im, const double* wre,
-                           const double* wim, double sign, int32_t half,
-                           int32_t hb, int32_t lanes);
-
-/**
- * AVX-512 SimdAddMulBroadcast. Requires lanes % 8 == 0, or lanes == 4 with
- * half even.
- */
-void Simd512AddMulBroadcast(double* rre, double* rim, const double* are,
-                            const double* aim, const double* bre,
-                            const double* bim, int32_t half, int32_t lanes);
 
 }  // namespace pytfhe::tfhe::batch_detail
 

@@ -81,7 +81,7 @@ void LutBootstrapInto(GateEvaluator& eval, const LutKernel& lut,
                       BootstrapScratch* scratch = nullptr);
 
 /**
- * Batched LutBootstrapInto: `count` lanes share one SoA blind rotation,
+ * Batched LutBootstrapInto: `count` lanes share one blind rotation,
  * each starting from its own test vector, then key-switch one by one into
  * their out views. A lane with `lut` set is a weighted LUT gate (its
  * prelude sum w_i * ops_i + bias and its cached table test vector, exactly

@@ -282,32 +282,42 @@ bool ReadIntPoly(Reader& r, IntPolynomial* p) {
     return true;
 }
 
-void WriteFreqPoly(std::ostream& os, const FreqPolynomial& f) {
+/**
+ * Writes one FFT-domain polynomial in natural slot order: evaluation m,
+ * which the kernel keeps in slot slots[m] (BitReversedSlots), goes m-th.
+ */
+void WriteFreqPoly(std::ostream& os, const FreqPolynomial& f,
+                   const std::vector<int32_t>& slots) {
     const int32_t half = f.HalfSize();
     W64(os, static_cast<uint64_t>(half));
     const double* re = f.Re();
     const double* im = f.Im();
-    for (int32_t i = 0; i < half; ++i) WDouble(os, re[i]);
-    for (int32_t i = 0; i < half; ++i) WDouble(os, im[i]);
+    for (int32_t m = 0; m < half; ++m) WDouble(os, re[slots[m]]);
+    for (int32_t m = 0; m < half; ++m) WDouble(os, im[slots[m]]);
 }
 
-bool ReadFreqPoly(Reader& r, FreqPolynomial* f) {
+/**
+ * Reads one natural-order FFT-domain polynomial of `half` slots into the
+ * kernel's bit-reversed order (`slots` = BitReversedSlots(half)).
+ */
+bool ReadFreqPoly(Reader& r, FreqPolynomial* f,
+                  const std::vector<int32_t>& slots) {
     uint64_t n;
     if (!r.U64(&n, "frequency polynomial size")) return false;
-    if (n > (UINT64_C(1) << 24))
-        return r.Fail("bad frequency polynomial size");
+    if (n != slots.size()) return r.Fail("bad frequency polynomial size");
     f->ResizeHalf(static_cast<int32_t>(n));
     double* re = f->Re();
     double* im = f->Im();
-    for (uint64_t i = 0; i < n; ++i)
-        if (!r.F64(&re[i], "freq poly")) return false;
-    for (uint64_t i = 0; i < n; ++i)
-        if (!r.F64(&im[i], "freq poly")) return false;
+    for (uint64_t m = 0; m < n; ++m)
+        if (!r.F64(&re[slots[m]], "freq poly")) return false;
+    for (uint64_t m = 0; m < n; ++m)
+        if (!r.F64(&im[slots[m]], "freq poly")) return false;
     return true;
 }
 
 void WriteBkBody(std::ostream& body, const BootstrappingKey& key) {
     WriteParamsBody(body, key.params());
+    const std::vector<int32_t> slots = BitReversedSlots(key.fft().Half());
     W64(body, key.bk().size());
     for (const TGswSampleFft& s : key.bk()) {
         W32(body, static_cast<uint32_t>(s.l));
@@ -315,7 +325,7 @@ void WriteBkBody(std::ostream& body, const BootstrappingKey& key) {
         W64(body, s.rows.size());
         for (const auto& row : s.rows) {
             W64(body, row.size());
-            for (const auto& f : row) WriteFreqPoly(body, f);
+            for (const auto& f : row) WriteFreqPoly(body, f, slots);
         }
     }
     // Key-switching key: shape, row count, then each row (i, j, v) in slab
@@ -412,6 +422,12 @@ std::optional<BootstrappingKey> ReadBkBody(Reader& r) {
         r.Fail("bootstrapping key size mismatch");
         return std::nullopt;
     }
+    // The bootstrapping key's polynomials have N/2 slots, N <= 2^25.
+    if (p.big_n < 2 || p.big_n > (INT32_C(1) << 25)) {
+        r.Fail("bad frequency polynomial size");
+        return std::nullopt;
+    }
+    const std::vector<int32_t> slots = BitReversedSlots(p.big_n / 2);
     std::vector<TGswSampleFft> bk(bk_size);
     for (auto& s : bk) {
         uint32_t l, bg_bit;
@@ -435,7 +451,7 @@ std::optional<BootstrappingKey> ReadBkBody(Reader& r) {
             }
             row.resize(cols);
             for (auto& f : row)
-                if (!ReadFreqPoly(r, &f)) return std::nullopt;
+                if (!ReadFreqPoly(r, &f, slots)) return std::nullopt;
         }
     }
 

@@ -1,6 +1,5 @@
 #include "tfhe/tgsw.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace pytfhe::tfhe {
@@ -47,44 +46,53 @@ void DecomposePacked(std::vector<FreqPolynomial>& dec,
 }
 
 /**
- * Batched DecomposePacked: digit j of coefficient p, lane `lane` of
- * component ci lands at dec[j].Re()[p * b + lane] (upper-half coefficients
- * on the Im plane) — the structure-of-arrays layout of BatchFreqPolynomial.
- * Pure integer arithmetic plus the exact int32 -> double conversion,
- * identical per lane to the scalar path.
+ * External product of lanes [0, b) against one TGSW sample, each lane on
+ * its own scratch. Loop order (ci, j, lane): a key row is loaded once per
+ * call and reused from cache by the other lanes, while every lane
+ * accumulates in the same (ci, j, col) order as a one-lane call.
  */
-void DecomposePackedBatch(std::vector<BatchFreqPolynomial>& dec,
-                          const std::vector<TLweSample>& samples, int32_t b,
-                          int32_t ci, int32_t l, int32_t bg_bit,
-                          uint32_t offset) {
-    const int32_t half = samples[0].BigN() / 2;
-    const int32_t half_bg = INT32_C(1) << (bg_bit - 1);
-    const uint32_t mask = (UINT32_C(1) << bg_bit) - 1;
-    // Slot-outer, lane-inner so every store is contiguous in the
-    // slot-major batch layout (lane-outer would write with stride b and
-    // thrash the fill buffers — measurably slower at batch 4/8).
-    constexpr int32_t kMaxLanes = 64;
-    const Torus32* srcs[kMaxLanes];
-    for (int32_t base = 0; base < b; base += kMaxLanes) {
-        const int32_t lanes = std::min(b - base, kMaxLanes);
-        for (int32_t lane = 0; lane < lanes; ++lane)
-            srcs[lane] = samples[base + lane].a[ci].coefs.data();
-        for (int32_t j = 0; j < l; ++j) {
-            const int32_t shift = 32 - bg_bit * (j + 1);
-            double* __restrict re = dec[j].Re();
-            double* __restrict im = dec[j].Im();
-            for (int32_t p = 0; p < half; ++p) {
-                const size_t at = static_cast<size_t>(p) * b + base;
-                for (int32_t lane = 0; lane < lanes; ++lane) {
-                    const uint32_t lo = srcs[lane][p] + offset;
-                    const uint32_t hi = srcs[lane][p + half] + offset;
-                    re[at + lane] = static_cast<double>(
-                        static_cast<int32_t>((lo >> shift) & mask) - half_bg);
-                    im[at + lane] = static_cast<double>(
-                        static_cast<int32_t>((hi >> shift) & mask) - half_bg);
-                }
+void ExternalProductLanes(TLweSample* results, const TLweSample* samples,
+                          int32_t b, const TGswSampleFft& c,
+                          const NegacyclicFft& fft,
+                          ExternalProductScratch* lanes) {
+    const int32_t n = samples[0].BigN();
+    const int32_t k = samples[0].K();
+    const int32_t half = fft.Half();
+    assert(fft.Size() == n);
+    assert(static_cast<size_t>((k + 1) * c.l) == c.rows.size());
+
+    for (int32_t lane = 0; lane < b; ++lane) {
+        ExternalProductScratch& s = lanes[lane];
+        if (static_cast<int32_t>(s.dec.size()) != c.l) s.dec.resize(c.l);
+        for (auto& f : s.dec) f.ResizeHalf(half);
+        if (static_cast<int32_t>(s.acc.size()) != k + 1) s.acc.resize(k + 1);
+        for (auto& f : s.acc) {
+            f.ResizeHalf(half);
+            f.Clear();
+        }
+    }
+
+    const uint32_t offset = DecomposeOffset(c.l, c.bg_bit);
+    for (int32_t ci = 0; ci <= k; ++ci) {
+        for (int32_t lane = 0; lane < b; ++lane)
+            DecomposePacked(lanes[lane].dec, samples[lane].a[ci], c.l,
+                            c.bg_bit, offset);
+        for (int32_t j = 0; j < c.l; ++j) {
+            const std::vector<FreqPolynomial>& row = c.rows[ci * c.l + j];
+            for (int32_t lane = 0; lane < b; ++lane) {
+                ExternalProductScratch& s = lanes[lane];
+                fft.ForwardPacked(s.dec[j]);
+                for (int32_t col = 0; col <= k; ++col)
+                    s.acc[col].AddMul(s.dec[j], row[col]);
             }
         }
+    }
+
+    for (int32_t lane = 0; lane < b; ++lane) {
+        TLweSample& r = results[lane];
+        if (r.BigN() != n || r.K() != k) r = TLweSample(n, k);
+        for (int32_t col = 0; col <= k; ++col)
+            fft.InverseInPlace(r.a[col], lanes[lane].acc[col]);
     }
 }
 
@@ -150,36 +158,8 @@ void TGswExternalProduct(TLweSample& result, const TGswSampleFft& c,
                          const TLweSample& sample, const NegacyclicFft& fft,
                          ExternalProductScratch* scratch) {
     ExternalProductScratch local;
-    ExternalProductScratch& s = scratch != nullptr ? *scratch : local;
-
-    const int32_t n = sample.BigN();
-    const int32_t k = sample.K();
-    const int32_t half = fft.Half();
-    assert(fft.Size() == n);
-    assert(static_cast<size_t>((k + 1) * c.l) == c.rows.size());
-
-    if (static_cast<int32_t>(s.dec.size()) != c.l) s.dec.resize(c.l);
-    for (auto& f : s.dec) f.ResizeHalf(half);
-    if (static_cast<int32_t>(s.acc.size()) != k + 1) s.acc.resize(k + 1);
-    for (auto& f : s.acc) {
-        f.ResizeHalf(half);
-        f.Clear();
-    }
-
-    const uint32_t offset = DecomposeOffset(c.l, c.bg_bit);
-    for (int32_t ci = 0; ci <= k; ++ci) {
-        DecomposePacked(s.dec, sample.a[ci], c.l, c.bg_bit, offset);
-        for (int32_t j = 0; j < c.l; ++j) {
-            fft.ForwardPacked(s.dec[j]);
-            const std::vector<FreqPolynomial>& row = c.rows[ci * c.l + j];
-            for (int32_t col = 0; col <= k; ++col)
-                s.acc[col].AddMul(s.dec[j], row[col]);
-        }
-    }
-
-    if (result.BigN() != n || result.K() != k) result = TLweSample(n, k);
-    for (int32_t col = 0; col <= k; ++col)
-        fft.InverseInPlace(result.a[col], s.acc[col]);
+    ExternalProductLanes(&result, &sample, 1, c, fft,
+                         scratch != nullptr ? scratch : &local);
 }
 
 void TGswExternalProductBatch(std::vector<TLweSample>& result,
@@ -188,44 +168,10 @@ void TGswExternalProductBatch(std::vector<TLweSample>& result,
                               int32_t b, const NegacyclicFft& fft,
                               BatchExternalProductScratch& s) {
     assert(b >= 1 && static_cast<size_t>(b) <= samples.size());
-    const int32_t n = samples[0].BigN();
-    const int32_t k = samples[0].K();
-    const int32_t half = fft.Half();
-    assert(fft.Size() == n);
-    assert(static_cast<size_t>((k + 1) * c.l) == c.rows.size());
-
-    if (static_cast<int32_t>(s.dec.size()) != c.l) s.dec.resize(c.l);
-    for (auto& f : s.dec) f.Resize(half, b);
-    if (static_cast<int32_t>(s.acc.size()) != k + 1) s.acc.resize(k + 1);
-    for (auto& f : s.acc) {
-        f.Resize(half, b);
-        f.Clear();
-    }
-
-    // Same (ci, j, col) loop structure as the scalar product, so every
-    // lane's accumulation order — and therefore every rounding — matches.
-    const uint32_t offset = DecomposeOffset(c.l, c.bg_bit);
-    for (int32_t ci = 0; ci <= k; ++ci) {
-        DecomposePackedBatch(s.dec, samples, b, ci, c.l, c.bg_bit, offset);
-        for (int32_t j = 0; j < c.l; ++j) {
-            fft.ForwardPackedBatch(s.dec[j]);
-            const std::vector<FreqPolynomial>& row = c.rows[ci * c.l + j];
-            for (int32_t col = 0; col <= k; ++col)
-                s.acc[col].AddMulBroadcast(s.dec[j], row[col]);
-        }
-    }
-
     if (static_cast<int32_t>(result.size()) < b) result.resize(b);
-    s.inv_outs.resize(b);
-    for (int32_t lane = 0; lane < b; ++lane) {
-        TLweSample& r = result[lane];
-        if (r.BigN() != n || r.K() != k) r = TLweSample(n, k);
-    }
-    for (int32_t col = 0; col <= k; ++col) {
-        for (int32_t lane = 0; lane < b; ++lane)
-            s.inv_outs[lane] = &result[lane].a[col];
-        fft.InverseInPlaceBatch(s.inv_outs.data(), s.acc[col]);
-    }
+    if (static_cast<int32_t>(s.lanes.size()) < b) s.lanes.resize(b);
+    ExternalProductLanes(result.data(), samples.data(), b, c, fft,
+                         s.lanes.data());
 }
 
 void TGswCMux(TLweSample& result, const TGswSampleFft& c, const TLweSample& d1,

@@ -55,14 +55,12 @@ struct ExternalProductScratch {
 };
 
 /**
- * Reusable buffers for TGswExternalProductBatch. Buffers keep capacity
- * across calls with a fixed (parameter set, batch size) pair; a change in
- * batch size (e.g. a ragged final batch) reallocates once.
+ * Reusable buffers for TGswExternalProductBatch: one scalar scratch per
+ * lane. Buffers keep capacity across calls with a fixed parameter set; a
+ * larger batch than any before allocates its new lanes once.
  */
 struct BatchExternalProductScratch {
-    std::vector<BatchFreqPolynomial> dec;  ///< l digit transforms, all lanes.
-    std::vector<BatchFreqPolynomial> acc;  ///< k + 1 batch accumulators.
-    std::vector<TorusPolynomial*> inv_outs;  ///< Inverse extraction table.
+    std::vector<ExternalProductScratch> lanes;
 };
 
 /** Encrypts integer message m (typically a key bit in {0, 1}). */
@@ -92,11 +90,11 @@ void TGswExternalProduct(TLweSample& result, const TGswSampleFft& c,
 
 /**
  * Batched external product: result[lane] = C x samples[lane] for b
- * independent TLWE samples against ONE shared TGSW sample. The gadget
- * digits of all lanes are decomposed into the structure-of-arrays
- * BatchFreqPolynomial layout, transformed with one shared twiddle pass per
- * FFT stage, and every frequency-domain key row is streamed from memory
- * once for the whole batch. Bit-exact per lane vs TGswExternalProduct.
+ * independent TLWE samples against ONE shared TGSW sample. Each lane runs
+ * the scalar FFT kernel on its own buffers; the loop order (ci, j, lane)
+ * reads every frequency-domain key row from memory once per batch, and the
+ * other lanes find it in cache. Each lane accumulates in the scalar
+ * (ci, j, col) order, so the result is TGswExternalProduct's word for word.
  */
 void TGswExternalProductBatch(std::vector<TLweSample>& result,
                               const TGswSampleFft& c,

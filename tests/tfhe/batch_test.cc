@@ -1,14 +1,13 @@
 /**
  * @file
  * Bit-exactness of the batched bootstrapping pipeline against the scalar
- * path: batched FFT entry points, the batched external product, batched
- * blind rotation / gate bootstrap, and the mixed-kind evaluator batch API.
- * Every comparison is EXPECT_EQ on raw Torus32 words — the batch kernels
- * promise the identical IEEE operation sequence per lane, not "close".
+ * path: the batched external product, batched blind rotation / gate
+ * bootstrap, and the mixed-kind evaluator batch API. Every comparison is
+ * EXPECT_EQ on raw Torus32 words — each lane runs the scalar kernel calls
+ * in the scalar order, so results are identical, not "close".
  */
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -28,117 +27,6 @@ bool SameTlwe(const TLweSample& x, const TLweSample& y) {
     for (size_t i = 0; i < x.a.size(); ++i)
         if (x.a[i].coefs != y.a[i].coefs) return false;
     return true;
-}
-
-// ------------------------------------------------------------- FFT kernels
-
-class BatchFftTest : public ::testing::Test {
-  protected:
-    static constexpr int32_t kN = 64;
-    BatchFftTest() : fft_(GetFftPlan(kN)), rng_(123) {}
-    const NegacyclicFft& fft_;
-    Rng rng_;
-};
-
-TEST_F(BatchFftTest, ForwardPackedBatchMatchesScalarPerLane) {
-    const int32_t half = kN / 2;
-    for (int32_t b = 1; b <= 8; ++b) {
-        // Small-integer packed inputs, the same domain gadget digits live in.
-        std::vector<FreqPolynomial> scalar(b);
-        BatchFreqPolynomial batch(half, b);
-        for (int32_t l = 0; l < b; ++l) {
-            scalar[l].ResizeHalf(half);
-            for (int32_t j = 0; j < half; ++j) {
-                const double re = static_cast<double>(
-                    static_cast<int32_t>(rng_.UniformTorus32() % 65) - 32);
-                const double im = static_cast<double>(
-                    static_cast<int32_t>(rng_.UniformTorus32() % 65) - 32);
-                scalar[l].Re()[j] = re;
-                scalar[l].Im()[j] = im;
-                batch.Re()[static_cast<size_t>(j) * b + l] = re;
-                batch.Im()[static_cast<size_t>(j) * b + l] = im;
-            }
-        }
-        for (int32_t l = 0; l < b; ++l) fft_.ForwardPacked(scalar[l]);
-        fft_.ForwardPackedBatch(batch);
-        for (int32_t l = 0; l < b; ++l) {
-            for (int32_t j = 0; j < half; ++j) {
-                const size_t at = static_cast<size_t>(j) * b + l;
-                EXPECT_EQ(scalar[l].Re()[j], batch.Re()[at])
-                    << "b=" << b << " lane=" << l << " j=" << j;
-                EXPECT_EQ(scalar[l].Im()[j], batch.Im()[at]);
-            }
-        }
-    }
-}
-
-/**
- * At N >= 1024 (N >= 2048 for a single lane) the cache-blocked stage loop
- * no longer covers the whole transform, so the cross-block butterfly
- * stages run too. Forward and inverse, b = 1..8 (portable, AVX2 and
- * AVX-512 shapes), against the scalar transforms word for word.
- */
-TEST(BatchFftProductionSizes, ForwardAndInverseMatchScalarPerLane) {
-    Rng rng(321);
-    for (const int32_t n : {1024, 2048}) {
-        const NegacyclicFft& fft = GetFftPlan(n);
-        const int32_t half = n / 2;
-        for (int32_t b = 1; b <= 8; ++b) {
-            std::vector<FreqPolynomial> scalar(b);
-            BatchFreqPolynomial batch(half, b);
-            for (int32_t l = 0; l < b; ++l) {
-                scalar[l].ResizeHalf(half);
-                for (int32_t j = 0; j < half; ++j) {
-                    // Gadget-digit-sized packed inputs.
-                    const double re = static_cast<double>(
-                        static_cast<int32_t>(rng.UniformBelow(129)) - 64);
-                    const double im = static_cast<double>(
-                        static_cast<int32_t>(rng.UniformBelow(129)) - 64);
-                    scalar[l].Re()[j] = re;
-                    scalar[l].Im()[j] = im;
-                    batch.Re()[static_cast<size_t>(j) * b + l] = re;
-                    batch.Im()[static_cast<size_t>(j) * b + l] = im;
-                }
-            }
-            for (int32_t l = 0; l < b; ++l) fft.ForwardPacked(scalar[l]);
-            fft.ForwardPackedBatch(batch);
-            for (int32_t l = 0; l < b; ++l) {
-                for (int32_t j = 0; j < half; ++j) {
-                    const size_t at = static_cast<size_t>(j) * b + l;
-                    ASSERT_EQ(scalar[l].Re()[j], batch.Re()[at])
-                        << "N=" << n << " b=" << b << " lane=" << l;
-                    ASSERT_EQ(scalar[l].Im()[j], batch.Im()[at])
-                        << "N=" << n << " b=" << b << " lane=" << l;
-                }
-            }
-
-            // Inverse of key-product-sized spectra (|x| up to 2^40), which
-            // round onto the torus with wrap-around.
-            for (int32_t l = 0; l < b; ++l) {
-                for (int32_t j = 0; j < half; ++j) {
-                    const double re = std::ldexp(
-                        static_cast<double>(rng.UniformTorus32()) - 2.1e9, 8);
-                    const double im = std::ldexp(
-                        static_cast<double>(rng.UniformTorus32()) - 2.1e9, 8);
-                    scalar[l].Re()[j] = re;
-                    scalar[l].Im()[j] = im;
-                    batch.Re()[static_cast<size_t>(j) * b + l] = re;
-                    batch.Im()[static_cast<size_t>(j) * b + l] = im;
-                }
-            }
-            std::vector<TorusPolynomial> want(b, TorusPolynomial(n));
-            std::vector<TorusPolynomial> got(b, TorusPolynomial(n));
-            std::vector<TorusPolynomial*> outs(b);
-            for (int32_t l = 0; l < b; ++l) {
-                fft.InverseInPlace(want[l], scalar[l]);
-                outs[l] = &got[l];
-            }
-            fft.InverseInPlaceBatch(outs.data(), batch);
-            for (int32_t l = 0; l < b; ++l)
-                ASSERT_EQ(want[l].coefs, got[l].coefs)
-                    << "N=" << n << " b=" << b << " lane=" << l;
-        }
-    }
 }
 
 // --------------------------------------------------------- external product

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <complex>
+#include <cstring>
+#include <utility>
+
+#include "tfhe/fft_batch_kernels.h"
 #include "tfhe/rng.h"
 
 namespace pytfhe::tfhe {
@@ -203,6 +209,121 @@ TEST(Fft, ZeroTimesAnythingIsZero) {
     for (auto& c : b.coefs) c = rng.UniformTorus32();
     fft.Multiply(r, zero, b);
     for (auto c : r.coefs) EXPECT_EQ(c, 0u);
+}
+
+bool SameWords(const double* a, const double* b, int32_t count) {
+    return std::memcmp(a, b, static_cast<size_t>(count) * sizeof(double)) ==
+           0;
+}
+
+/** Uniform double in (-2^bits, 2^bits), not an integer in general. */
+double RandomDouble(Rng& rng, int bits) {
+    return std::ldexp(static_cast<double>(rng.UniformTorus32()) - 2147483648.5,
+                      bits - 31);
+}
+
+TEST(Fft, EveryTierMatchesPortableWordForWord) {
+    using batch_detail::FftKernel;
+    std::vector<std::pair<const char*, const FftKernel*>> tiers;
+    if (batch_detail::SimdAvailable())
+        tiers.emplace_back("avx2", &batch_detail::kAvx2Fft);
+    if (batch_detail::Simd512Available())
+        tiers.emplace_back("avx512f", &batch_detail::kAvx512Fft);
+    if (tiers.empty()) GTEST_SKIP() << "no vector tier on this host";
+    const FftKernel& portable = batch_detail::kPortableFft;
+    Rng rng(31);
+    for (int32_t n = 2; n <= 2048; n *= 2) {
+        const NegacyclicFft& plan = GetFftPlan(n);
+        const int32_t h = n / 2;
+        // Forward input: packed gadget digits. Inverse input: spectra of
+        // key-product size (|x| < 2^40), rounding with wrap-around.
+        // AddMul: arbitrary doubles.
+        FreqPolynomial digits(h), spectrum(h), acc(h), a(h), b(h);
+        for (int32_t j = 0; j < h; ++j) {
+            digits.Re()[j] = static_cast<int32_t>(rng.UniformBelow(256)) - 128;
+            digits.Im()[j] = static_cast<int32_t>(rng.UniformBelow(256)) - 128;
+            spectrum.Re()[j] = RandomDouble(rng, 40);
+            spectrum.Im()[j] = RandomDouble(rng, 40);
+            for (FreqPolynomial* f : {&acc, &a, &b}) {
+                f->Re()[j] = RandomDouble(rng, 30);
+                f->Im()[j] = RandomDouble(rng, 30);
+            }
+        }
+        FreqPolynomial fwd_want = digits, inv_in = spectrum, sum_want = acc;
+        TorusPolynomial inv_want(n);
+        portable.forward(plan, fwd_want.Re(), fwd_want.Im());
+        portable.inverse(plan, inv_in.Re(), inv_in.Im(),
+                         inv_want.coefs.data());
+        portable.add_mul(sum_want.Re(), sum_want.Im(), a.Re(), a.Im(),
+                         b.Re(), b.Im(), h);
+        for (const auto& [name, tier] : tiers) {
+            // Below min_half the plan runs the portable body instead.
+            if (h < tier->min_half) continue;
+            FreqPolynomial fwd = digits, inv = spectrum, sum = acc;
+            TorusPolynomial inv_got(n);
+            tier->forward(plan, fwd.Re(), fwd.Im());
+            tier->inverse(plan, inv.Re(), inv.Im(), inv_got.coefs.data());
+            tier->add_mul(sum.Re(), sum.Im(), a.Re(), a.Im(), b.Re(), b.Im(),
+                          h);
+            EXPECT_TRUE(SameWords(fwd.Re(), fwd_want.Re(), h) &&
+                        SameWords(fwd.Im(), fwd_want.Im(), h))
+                << name << " forward, N=" << n;
+            EXPECT_EQ(std::memcmp(inv_got.coefs.data(),
+                                  inv_want.coefs.data(),
+                                  static_cast<size_t>(n) * sizeof(Torus32)),
+                      0)
+                << name << " inverse, N=" << n;
+            EXPECT_TRUE(SameWords(sum.Re(), sum_want.Re(), h) &&
+                        SameWords(sum.Im(), sum_want.Im(), h))
+                << name << " add_mul, N=" << n;
+        }
+    }
+}
+
+/**
+ * Direct O(h^2) evaluation of the folded transform: the twisted row
+ * a_j = (p[j] - i*p[j+h]) * exp(-i*pi*j/N) at the h-th roots of unity,
+ * evaluation m = sum_j a_j exp(-2*pi*i*j*m/h).
+ */
+std::vector<std::complex<double>> DirectDft(const IntPolynomial& p) {
+    const int32_t n = p.Size();
+    const int32_t h = n / 2;
+    const double pi = std::acos(-1.0);
+    std::vector<std::complex<double>> out(h);
+    for (int32_t m = 0; m < h; ++m) {
+        std::complex<double> sum = 0;
+        for (int32_t j = 0; j < h; ++j) {
+            const std::complex<double> a(p.coefs[j], -p.coefs[j + h]);
+            sum += a * std::polar(1.0, -pi * j / n) *
+                   std::polar(1.0, -2.0 * pi * ((int64_t{j} * m) % h) / h);
+        }
+        out[m] = sum;
+    }
+    return out;
+}
+
+TEST(Fft, ForwardSlotsAreBitReversedDft) {
+    Rng rng(32);
+    for (int32_t n = 2; n <= 512; n *= 2) {
+        const NegacyclicFft& fft = GetFftPlan(n);
+        const int32_t h = n / 2;
+        IntPolynomial p(n);
+        for (auto& c : p.coefs)
+            c = static_cast<int32_t>(rng.UniformBelow(256)) - 128;
+        FreqPolynomial f;
+        fft.Forward(f, p);
+        const std::vector<std::complex<double>> want = DirectDft(p);
+        double scale = 1.0;
+        for (const auto& x : want) scale = std::max(scale, std::abs(x));
+        const std::vector<int32_t> slots = BitReversedSlots(h);
+        for (int32_t m = 0; m < h; ++m) {
+            // Relative to the row's largest evaluation.
+            EXPECT_NEAR(f.Re()[slots[m]], want[m].real(), 1e-9 * scale)
+                << "N=" << n << " m=" << m;
+            EXPECT_NEAR(f.Im()[slots[m]], want[m].imag(), 1e-9 * scale)
+                << "N=" << n << " m=" << m;
+        }
+    }
 }
 
 }  // namespace
