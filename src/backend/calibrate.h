@@ -20,8 +20,8 @@ CpuCostModel MeasureCpuCostModel(tfhe::GateEvaluator& gates,
                                  int32_t samples = 10);
 
 /**
- * Measures the batched-bootstrap speedups of the SoA kernel
- * (GateEvaluator::BatchedLinearBootstrap) at batch 2/4/8 relative to
+ * Measures the batched-bootstrap speedups (shared key traffic of
+ * GateEvaluator::BatchedLinearBootstrap) at batch 2/4/8 relative to
  * batch 1 on this machine, and overwrites `model`'s batchN_speedup
  * fields. `samples` batches are timed per size. Speedups below 1 are
  * clamped to 1 so a noisy measurement never makes the simulators model

@@ -145,9 +145,9 @@ ClusterResult SimulateCluster(const pasm::Program& program,
             continue;
         }
         // With batch_size > 1 a task carries a batch of bootstraps through
-        // the SoA kernel: fewer, longer tasks whose per-gate cost follows
-        // the calibrated batched speedup. batch_size == 1 reproduces the
-        // original one-gate-per-task model exactly.
+        // one batched bootstrap: fewer, longer tasks whose per-gate cost
+        // follows the calibrated batched speedup. batch_size == 1
+        // reproduces the original one-gate-per-task model exactly.
         const uint64_t batch =
             config.batch_size > 1 ? static_cast<uint64_t>(config.batch_size)
                                   : 1;
@@ -203,8 +203,8 @@ ClusterResult SimulateCluster(const pasm::Program& program,
 
 double IdealThroughput(const ClusterConfig& config) {
     // Independent single-threaded programs: no barriers, no dependencies —
-    // every worker streams gates back to back (batched through the SoA
-    // kernel when config.batch_size > 1).
+    // every worker streams gates back to back (batched bootstraps when
+    // config.batch_size > 1).
     return config.TotalWorkers() /
            config.cpu.BatchedGateSeconds(config.batch_size);
 }

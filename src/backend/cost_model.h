@@ -39,19 +39,20 @@ struct CpuCostModel {
     double linear_gate_seconds = 2e-6;
 
     /**
-     * Measured batched-bootstrap throughput gains of the SoA kernel
-     * (bench_micro_tfhe's `batched` block): speedup of per-gate time at
-     * batch 2/4/8 over the scalar path. Defaults match the committed
-     * BENCH_micro_tfhe.json sweep (AVX-512 host); override from a local
-     * bench run via MeasureBatchSpeedups. Batch 2 only upgrades the
-     * remainder loops to SSE width — near-parity with the autovectorized
-     * scalar path — while batches 4 and 8 run the full 512-bit kernels;
-     * batch 8's larger working set gives back a little of batch 4's win,
-     * so the curve saturates (and slightly dips) past B=4.
+     * Measured batched-bootstrap throughput gains (bench_micro_tfhe's
+     * `batched` block): speedup of per-gate time at batch 2/4/8 over the
+     * scalar path. Defaults match the committed BENCH_micro_tfhe.json
+     * sweep (AVX-512 host); override from a local bench run via
+     * MeasureBatchSpeedups. A batch runs the scalar external-product
+     * kernel once per lane, at full vector width for any B, so what
+     * batching buys is the shared bootstrapping-key traffic: each key
+     * block is read from memory once per batch and from L1 by the other
+     * lanes. The gain grows with B and flattens once key streaming is
+     * amortized.
      */
-    double batch2_speedup = 1.1;
-    double batch4_speedup = 2.1;
-    double batch8_speedup = 2.05;
+    double batch2_speedup = 1.31;
+    double batch4_speedup = 1.66;
+    double batch8_speedup = 1.83;
 
     /**
      * Per-gate cost of a bootstrapped gate evaluated inside a batch of
@@ -97,8 +98,8 @@ struct ClusterConfig {
      *  pipelined with compute, matching the 0.094 % share of Fig. 7). */
     double ciphertexts_per_task = 1.0;
     /**
-     * Bootstrapped gates fused into one worker task via the SoA batched
-     * kernel (bootstrap_batch.h). Each task costs
+     * Bootstrapped gates fused into one worker task via the batched
+     * bootstrap (bootstrap_batch.h). Each task costs
      * `batch_size * cpu.BatchedGateSeconds(batch_size)` and one submit /
      * ship-back, so batching amortizes both the FFT-domain key streaming
      * and the driver-side submission cost. 1 reproduces the unbatched

@@ -61,17 +61,10 @@ void BlindRotate(TLweSample& acc, const std::vector<int32_t>& bara,
     BootstrapScratch& s = scratch != nullptr ? *scratch : local;
     const Params& p = key.params();
     assert(static_cast<int32_t>(bara.size()) == p.n);
-    EnsureShape(s.rotated, p.big_n, p.k);
-    EnsureShape(s.product, p.big_n, p.k);
     for (int32_t i = 0; i < p.n; ++i) {
-        const int32_t a = bara[i];
-        if (a == 0) continue;
+        if (bara[i] == 0) continue;
         // acc <- CMUX(bk_i, X^a * acc, acc) = acc + bk_i x (X^a - 1) * acc.
-        TLweMulByXai(s.rotated, a, acc);
-        s.rotated.SubTo(acc);
-        TGswExternalProduct(s.product, key.bk()[i], s.rotated, key.fft(),
-                            &s.ep);
-        acc.AddTo(s.product);
+        TGswRotateCMux(&acc, &bara[i], 1, key.bk()[i], key.fft(), &s.ep);
     }
 }
 

@@ -92,7 +92,7 @@ struct LutTvEntry {
  */
 struct BootstrapScratch {
     ExternalProductScratch ep;
-    TLweSample rotated, product, acc;
+    TLweSample acc;
     TorusPolynomial shifted, testvect;
     std::vector<int32_t> bara;
     /** Linear-prelude staging sample (dimension n), for the Into paths. */

@@ -16,8 +16,6 @@ void EnsureSize(TorusPolynomial& p, int32_t n) {
 
 void EnsureLanes(BatchScratch& s, int32_t b, const Params& p) {
     if (static_cast<int32_t>(s.acc.size()) < b) s.acc.resize(b);
-    if (static_cast<int32_t>(s.rotated.size()) < b) s.rotated.resize(b);
-    if (static_cast<int32_t>(s.product.size()) < b) s.product.resize(b);
     if (static_cast<int32_t>(s.bara.size()) < b) s.bara.resize(b);
     for (int32_t l = 0; l < b; ++l) {
         EnsureShape(s.acc[l], p.big_n, p.k);
@@ -34,12 +32,11 @@ void BatchedBlindRotate(std::vector<TLweSample>& accs,
     const Params& p = key.params();
     assert(static_cast<int32_t>(accs.size()) >= b);
     assert(static_cast<int32_t>(bara.size()) >= b);
-    if (static_cast<int32_t>(s.rotated.size()) < b) s.rotated.resize(b);
-    if (static_cast<int32_t>(s.product.size()) < b) s.product.resize(b);
+    if (static_cast<int32_t>(s.ep.lanes.size()) < b) s.ep.lanes.resize(b);
+    s.rot.resize(b);
     for (int32_t l = 0; l < b; ++l) {
         assert(static_cast<int32_t>(bara[l].size()) == p.n);
-        EnsureShape(s.rotated[l], p.big_n, p.k);
-        EnsureShape(s.product[l], p.big_n, p.k);
+        assert(accs[l].BigN() == p.big_n && accs[l].K() == p.k);
     }
     for (int32_t i = 0; i < p.n; ++i) {
         // When every lane's coefficient is zero the whole CMUX is skipped,
@@ -48,17 +45,14 @@ void BatchedBlindRotate(std::vector<TLweSample>& accs,
         // difference, whose product is exactly zero (see file comment in
         // bootstrap_batch.h), so adding it is also identical to skipping.
         bool any = false;
-        for (int32_t l = 0; l < b; ++l) any = any || bara[l][i] != 0;
-        if (!any) continue;
         for (int32_t l = 0; l < b; ++l) {
-            // acc <- CMUX(bk_i, X^a * acc, acc)
-            //      = acc + bk_i x (X^a - 1) * acc.
-            TLweMulByXai(s.rotated[l], bara[l][i], accs[l]);
-            s.rotated[l].SubTo(accs[l]);
+            s.rot[l] = bara[l][i];
+            any = any || s.rot[l] != 0;
         }
-        TGswExternalProductBatch(s.product, key.bk()[i], s.rotated, b,
-                                 key.fft(), s.ep);
-        for (int32_t l = 0; l < b; ++l) accs[l].AddTo(s.product[l]);
+        if (!any) continue;
+        // acc <- CMUX(bk_i, X^a * acc, acc) = acc + bk_i x (X^a - 1) * acc.
+        TGswRotateCMux(accs.data(), s.rot.data(), b, key.bk()[i], key.fft(),
+                       s.ep.lanes.data());
     }
 }
 

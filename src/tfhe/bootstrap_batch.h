@@ -4,15 +4,17 @@
  * rotation.
  *
  * Integer-domain state (the TLWE accumulators, rotations, mod switches)
- * is per lane and exact. Each CMUX's floating-point work runs the scalar
- * FFT kernel once per lane (TGswExternalProductBatch); what the lanes
- * share is the bootstrapping key: each frequency-domain key row is read
- * from memory once per batch and reused from cache by the other lanes
- * (the MATCHA-style key-traffic amortization: the FFT-domain key is tens
- * of megabytes and otherwise streams once per gate). Each lane starts
- * from its own accumulator, so lanes need not share a test vector: sign
- * bootstraps and programmable (LUT) bootstraps with different tables ride
- * the same rotation.
+ * is per lane and exact. Each CMUX runs the scalar kernel once per lane
+ * (TGswRotateCMux: digits of the lane's rotation difference inside its
+ * forward transforms, one multiply-accumulate pass, the inverse adding
+ * into the accumulator); what the lanes share is the bootstrapping key:
+ * the multiply-accumulate walks the key slot block by slot block with the
+ * lanes inner, so each block is read from memory once per batch and
+ * reused from L1 by the other lanes (the MATCHA-style key-traffic
+ * amortization: the FFT-domain key is tens of megabytes and otherwise
+ * streams once per gate). Each lane starts from its own accumulator, so
+ * lanes need not share a test vector: sign bootstraps and programmable
+ * (LUT) bootstraps with different tables ride the same rotation.
  *
  * Every batched entry point is bit-exact per lane against its scalar
  * counterpart in bootstrap.h: each lane runs the same kernel calls in the
@@ -72,8 +74,9 @@ struct BatchGateViewSpec {
  */
 struct BatchScratch {
     BatchExternalProductScratch ep;
-    std::vector<TLweSample> acc, rotated, product;  ///< One per lane.
-    std::vector<std::vector<int32_t>> bara;         ///< One per lane.
+    std::vector<TLweSample> acc;             ///< One per lane.
+    std::vector<std::vector<int32_t>> bara;  ///< One per lane.
+    std::vector<int32_t> rot;                ///< One CMUX's bara column.
     TorusPolynomial testvect;        ///< Shared by sign lanes: all ±mu.
     TorusPolynomial shifted;         ///< Per-lane rotation staging buffer.
     std::vector<const TorusPolynomial*> tvs;  ///< Each lane's test vector.

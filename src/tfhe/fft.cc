@@ -34,6 +34,21 @@ struct Portable {
         std::memcpy(&bits, &biased, sizeof(bits));
         *out = static_cast<Torus32>(bits);
     }
+    static void AddRounded(Torus32* out, V biased) {
+        Torus32 rounded;
+        StoreRounded(&rounded, biased);
+        *out += rounded;
+    }
+
+    using W = uint32_t;
+    static W LoadWords(const Torus32* p) { return *p; }
+    static W SetWords(uint32_t x) { return x; }
+    static W AddWords(W a, W b) { return a + b; }
+    static W SubWords(W a, W b) { return a - b; }
+    static V Digits(W t, int32_t shift, W mask, W half) {
+        return static_cast<double>(static_cast<int32_t>((t >> shift) & mask) -
+                                   static_cast<int32_t>(half));
+    }
 };
 
 }  // namespace
@@ -49,16 +64,19 @@ constexpr size_t kAlign = 64;
 /** Rounds a slot count up so the second plane stays 64-byte aligned. */
 int32_t AlignedStride(int32_t half) { return (half + 7) & ~7; }
 
-/** The fastest tier this CPU runs at transform length `half`. */
-const batch_detail::FftKernel& KernelFor(int32_t half) {
-    using namespace batch_detail;
+}  // namespace
+
+namespace batch_detail {
+
+const FftKernel& KernelFor(int32_t half) {
     static const bool avx512 = Simd512Available();
     static const bool avx2 = SimdAvailable();
     if (avx512 && half >= kAvx512Fft.min_half) return kAvx512Fft;
     if (avx2 && half >= kAvx2Fft.min_half) return kAvx2Fft;
     return kPortableFft;
 }
-}  // namespace
+
+}  // namespace batch_detail
 
 // ------------------------------------------------------------ FreqPolynomial
 
@@ -113,14 +131,15 @@ void FreqPolynomial::Free() {
 void FreqPolynomial::AddMul(const FreqPolynomial& a, const FreqPolynomial& b) {
     const int32_t h = HalfSize();
     assert(a.HalfSize() == h && b.HalfSize() == h);
-    KernelFor(h).add_mul(Re(), Im(), a.Re(), a.Im(), b.Re(), b.Im(), h);
+    batch_detail::KernelFor(h).add_mul(Re(), Im(), a.Re(), a.Im(), b.Re(),
+                                       b.Im(), h);
 }
 
 // ------------------------------------------------------------- NegacyclicFft
 
 NegacyclicFft::NegacyclicFft(int32_t n)
     : n_(n), half_(n / 2), twist_(n / 2), untwist_(n / 2), twiddle_(n / 2),
-      kernel_(&KernelFor(n / 2)) {
+      kernel_(&batch_detail::KernelFor(n / 2)) {
     assert(n >= 2 && (n & (n - 1)) == 0);
     for (int32_t j = 0; j < half_; ++j) {
         const double ang = -kPi * j / n;

@@ -128,7 +128,8 @@ class NegacyclicFft {
     /**
      * Forward transform of data already packed into `f`:
      * f.Re()[j] = p[j], f.Im()[j] = p[j + N/2]. Twist and FFT run in place.
-     * This is the fused entry used by the gadget-decomposition path.
+     * (The external product does not pack: its digits are computed inside
+     * the transform's first pass, fft_batch_kernels.h.)
      */
     void ForwardPacked(FreqPolynomial& f) const;
 
@@ -158,6 +159,8 @@ class NegacyclicFft {
     const FreqPolynomial& UntwistTable() const { return untwist_; }
     /** Stage twiddles: exp(-2*pi*i*k / (2*hb)) at slot hb + k, k < hb. */
     const FreqPolynomial& TwiddleTable() const { return twiddle_; }
+    /** The kernel tier that runs this plan (fft_batch_kernels.h). */
+    const batch_detail::FftKernel& Kernel() const { return *kernel_; }
 
   private:
     int32_t n_;

@@ -37,12 +37,34 @@ struct Avx2 {
     static V Add(V a, V b) { return _mm256_add_pd(a, b); }
     static V Sub(V a, V b) { return _mm256_sub_pd(a, b); }
     static V Mul(V a, V b) { return _mm256_mul_pd(a, b); }
-    static void StoreRounded(Torus32* out, V biased) {
+    /** The low 32 bits of each lane's bit pattern. */
+    static __m128i Rounded(V biased) {
         const __m256i low = _mm256_permutevar8x32_epi32(
             _mm256_castpd_si256(biased),
             _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6));
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
-                         _mm256_castsi256_si128(low));
+        return _mm256_castsi256_si128(low);
+    }
+    static void StoreRounded(Torus32* out, V biased) {
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(out), Rounded(biased));
+    }
+    static void AddRounded(Torus32* out, V biased) {
+        __m128i* p = reinterpret_cast<__m128i*>(out);
+        _mm_storeu_si128(p, _mm_add_epi32(_mm_loadu_si128(p), Rounded(biased)));
+    }
+
+    using W = __m128i;
+    static W LoadWords(const Torus32* p) {
+        return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+    }
+    static W SetWords(uint32_t x) {
+        return _mm_set1_epi32(static_cast<int32_t>(x));
+    }
+    static W AddWords(W a, W b) { return _mm_add_epi32(a, b); }
+    static W SubWords(W a, W b) { return _mm_sub_epi32(a, b); }
+    static V Digits(W t, int32_t shift, W mask, W half) {
+        const W u = _mm_and_si128(_mm_srl_epi32(t, _mm_cvtsi32_si128(shift)),
+                                  mask);
+        return _mm256_cvtepi32_pd(_mm_sub_epi32(u, half));
     }
 
     /**

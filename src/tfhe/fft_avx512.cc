@@ -48,6 +48,29 @@ struct Avx512 {
         _mm512_mask_cvtepi64_storeu_epi32(out, 0xFF,
                                           _mm512_castpd_si512(biased));
     }
+    static void AddRounded(Torus32* out, V biased) {
+        __m256i* p = reinterpret_cast<__m256i*>(out);
+        // Zero-masked forms here and in Digits: GCC 12 warns on the
+        // unmasked ones' undefined pass-through.
+        const __m256i low =
+            _mm512_maskz_cvtepi64_epi32(0xFF, _mm512_castpd_si512(biased));
+        _mm256_storeu_si256(p, _mm256_add_epi32(_mm256_loadu_si256(p), low));
+    }
+
+    using W = __m256i;
+    static W LoadWords(const Torus32* p) {
+        return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+    }
+    static W SetWords(uint32_t x) {
+        return _mm256_set1_epi32(static_cast<int32_t>(x));
+    }
+    static W AddWords(W a, W b) { return _mm256_add_epi32(a, b); }
+    static W SubWords(W a, W b) { return _mm256_sub_epi32(a, b); }
+    static V Digits(W t, int32_t shift, W mask, W half) {
+        const W u = _mm256_and_si256(
+            _mm256_srl_epi32(t, _mm_cvtsi32_si128(shift)), mask);
+        return _mm512_maskz_cvtepi32_pd(0xFF, _mm256_sub_epi32(u, half));
+    }
 
     /**
      * For the in-vector stage of half-size hb, whose upper lanes (bit hb

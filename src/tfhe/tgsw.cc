@@ -1,6 +1,9 @@
 #include "tfhe/tgsw.h"
 
+#include <algorithm>
 #include <cassert>
+
+#include "tfhe/fft_batch_kernels.h"
 
 namespace pytfhe::tfhe {
 
@@ -19,80 +22,70 @@ uint32_t DecomposeOffset(int32_t l, int32_t bg_bit) {
 }
 
 /**
- * Fused gadget decomposition of one TLWE component, written directly into
- * the folded FFT's packed input layout: dec[j].Re()[p] is digit j of
- * coefficient p and dec[j].Im()[p] is digit j of coefficient p + N/2.
+ * Slots of one lane's key product per MulAcc call: the key block the
+ * lanes share (rows * cols * 2 * 8 * kSlotBlock bytes, 12 KiB at
+ * tfhe-128) stays in L1 while every lane reads it.
  */
-void DecomposePacked(std::vector<FreqPolynomial>& dec,
-                     const TorusPolynomial& poly, int32_t l, int32_t bg_bit,
-                     uint32_t offset) {
-    const int32_t half = poly.Size() / 2;
-    const int32_t half_bg = INT32_C(1) << (bg_bit - 1);
-    const uint32_t mask = (UINT32_C(1) << bg_bit) - 1;
-    const Torus32* __restrict c = poly.coefs.data();
-    for (int32_t j = 0; j < l; ++j) {
-        const int32_t shift = 32 - bg_bit * (j + 1);
-        double* __restrict re = dec[j].Re();
-        double* __restrict im = dec[j].Im();
-        for (int32_t p = 0; p < half; ++p) {
-            const uint32_t lo = c[p] + offset;
-            const uint32_t hi = c[p + half] + offset;
-            re[p] = static_cast<double>(
-                static_cast<int32_t>((lo >> shift) & mask) - half_bg);
-            im[p] = static_cast<double>(
-                static_cast<int32_t>((hi >> shift) & mask) - half_bg);
-        }
-    }
-}
+constexpr int32_t kSlotBlock = 64;
 
 /**
  * External product of lanes [0, b) against one TGSW sample, each lane on
- * its own scratch. Loop order (ci, j, lane): a key row is loaded once per
- * call and reused from cache by the other lanes, while every lane
- * accumulates in the same (ci, j, col) order as a one-lane call.
+ * its own scratch. Without `rot`, results[l] = C x samples[l]. With it,
+ * results == samples and results[l] += C x ((X^rot[l] - 1) * results[l]):
+ * the decomposition reads the rotation from the accumulator and the
+ * inverse adds the product into it, after every lane has been read.
+ *
+ * Per lane, all (k+1)*l digit polynomials are decomposed and transformed
+ * first; the key product then runs slot block by slot block, lanes inner,
+ * so every key block is loaded once per call and every output column is
+ * summed in registers in the (ci, j) row order of a cleared accumulator.
  */
 void ExternalProductLanes(TLweSample* results, const TLweSample* samples,
-                          int32_t b, const TGswSampleFft& c,
-                          const NegacyclicFft& fft,
+                          const int32_t* rot, int32_t b,
+                          const TGswSampleFft& c, const NegacyclicFft& fft,
                           ExternalProductScratch* lanes) {
     const int32_t n = samples[0].BigN();
     const int32_t k = samples[0].K();
     const int32_t half = fft.Half();
+    const int32_t rows = (k + 1) * c.l;
     assert(fft.Size() == n);
-    assert(static_cast<size_t>((k + 1) * c.l) == c.rows.size());
-
-    for (int32_t lane = 0; lane < b; ++lane) {
-        ExternalProductScratch& s = lanes[lane];
-        if (static_cast<int32_t>(s.dec.size()) != c.l) s.dec.resize(c.l);
-        for (auto& f : s.dec) f.ResizeHalf(half);
-        if (static_cast<int32_t>(s.acc.size()) != k + 1) s.acc.resize(k + 1);
-        for (auto& f : s.acc) {
-            f.ResizeHalf(half);
-            f.Clear();
-        }
-    }
+    assert(static_cast<size_t>(rows) == c.rows.size());
+    assert(rot == nullptr || results == samples);
+    const batch_detail::FftKernel& kernel = fft.Kernel();
 
     const uint32_t offset = DecomposeOffset(c.l, c.bg_bit);
-    for (int32_t ci = 0; ci <= k; ++ci) {
-        for (int32_t lane = 0; lane < b; ++lane)
-            DecomposePacked(lanes[lane].dec, samples[lane].a[ci], c.l,
-                            c.bg_bit, offset);
-        for (int32_t j = 0; j < c.l; ++j) {
-            const std::vector<FreqPolynomial>& row = c.rows[ci * c.l + j];
-            for (int32_t lane = 0; lane < b; ++lane) {
-                ExternalProductScratch& s = lanes[lane];
-                fft.ForwardPacked(s.dec[j]);
-                for (int32_t col = 0; col <= k; ++col)
-                    s.acc[col].AddMul(s.dec[j], row[col]);
-            }
+    for (int32_t lane = 0; lane < b; ++lane) {
+        ExternalProductScratch& s = lanes[lane];
+        if (static_cast<int32_t>(s.dec.size()) != rows) s.dec.resize(rows);
+        for (auto& f : s.dec) f.ResizeHalf(half);
+        if (static_cast<int32_t>(s.acc.size()) != k + 1) s.acc.resize(k + 1);
+        for (auto& f : s.acc) f.ResizeHalf(half);
+        for (int32_t ci = 0; ci <= k; ++ci) {
+            FreqPolynomial* dec = &s.dec[ci * c.l];
+            const Torus32* coefs = samples[lane].a[ci].coefs.data();
+            if (rot != nullptr)
+                kernel.forward_rotated_digits(fft, dec, coefs, rot[lane], c.l,
+                                              c.bg_bit, offset);
+            else
+                kernel.forward_digits(fft, dec, coefs, c.l, c.bg_bit, offset);
         }
     }
 
+    for (int32_t begin = 0; begin < half; begin += kSlotBlock) {
+        const int32_t end = std::min(half, begin + kSlotBlock);
+        for (int32_t lane = 0; lane < b; ++lane)
+            kernel.mul_acc(lanes[lane].acc.data(), lanes[lane].dec.data(),
+                           c.rows.data(), rows, k + 1, begin, end);
+    }
+
+    const auto inverse = rot != nullptr ? kernel.inverse_add : kernel.inverse;
     for (int32_t lane = 0; lane < b; ++lane) {
         TLweSample& r = results[lane];
         if (r.BigN() != n || r.K() != k) r = TLweSample(n, k);
-        for (int32_t col = 0; col <= k; ++col)
-            fft.InverseInPlace(r.a[col], lanes[lane].acc[col]);
+        for (int32_t col = 0; col <= k; ++col) {
+            FreqPolynomial& f = lanes[lane].acc[col];
+            inverse(fft, f.Re(), f.Im(), r.a[col].coefs.data());
+        }
     }
 }
 
@@ -158,7 +151,7 @@ void TGswExternalProduct(TLweSample& result, const TGswSampleFft& c,
                          const TLweSample& sample, const NegacyclicFft& fft,
                          ExternalProductScratch* scratch) {
     ExternalProductScratch local;
-    ExternalProductLanes(&result, &sample, 1, c, fft,
+    ExternalProductLanes(&result, &sample, nullptr, 1, c, fft,
                          scratch != nullptr ? scratch : &local);
 }
 
@@ -170,8 +163,15 @@ void TGswExternalProductBatch(std::vector<TLweSample>& result,
     assert(b >= 1 && static_cast<size_t>(b) <= samples.size());
     if (static_cast<int32_t>(result.size()) < b) result.resize(b);
     if (static_cast<int32_t>(s.lanes.size()) < b) s.lanes.resize(b);
-    ExternalProductLanes(result.data(), samples.data(), b, c, fft,
+    ExternalProductLanes(result.data(), samples.data(), nullptr, b, c, fft,
                          s.lanes.data());
+}
+
+void TGswRotateCMux(TLweSample* accs, const int32_t* rot, int32_t b,
+                    const TGswSampleFft& c, const NegacyclicFft& fft,
+                    ExternalProductScratch* lanes) {
+    assert(b >= 1);
+    ExternalProductLanes(accs, accs, rot, b, c, fft, lanes);
 }
 
 void TGswCMux(TLweSample& result, const TGswSampleFft& c, const TLweSample& d1,

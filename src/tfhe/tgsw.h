@@ -12,9 +12,17 @@
  *
  * The external product is the innermost kernel of bootstrapping, so it is
  * allocation-free in steady state: callers on hot paths pass an
- * ExternalProductScratch they own (one per worker thread). Decomposition is
- * fused with the FFT packing — digits are written as doubles directly into
- * the transform's input buffers instead of materializing IntPolynomials.
+ * ExternalProductScratch they own (one per worker thread). It runs as one
+ * datapath at the FFT's ISA tier (fft_batch_kernels.h): each gadget digit
+ * polynomial is computed from the torus words inside its forward
+ * transform's first pass, one multiply-accumulate pass sums every output
+ * column over all (k+1)*l key rows in registers, and the inverse
+ * transforms round back to the torus. The blind rotation's CMUX
+ * (TGswRotateCMux) also reads its rotation difference straight from the
+ * accumulator and adds the product back in the inverse's last pass.
+ * Every step reproduces, word for word, the composition of TGswDecompose,
+ * NegacyclicFft::Forward, FreqPolynomial::AddMul on cleared accumulators
+ * in (ci, j) row order, and NegacyclicFft::InverseInPlace.
  */
 #ifndef PYTFHE_TFHE_TGSW_H
 #define PYTFHE_TFHE_TGSW_H
@@ -49,7 +57,7 @@ struct TGswSampleFft {
  * heap allocation.
  */
 struct ExternalProductScratch {
-    std::vector<FreqPolynomial> dec;  ///< l digit transforms, reused per row.
+    std::vector<FreqPolynomial> dec;  ///< (k + 1) * l digit transforms.
     std::vector<FreqPolynomial> acc;  ///< k + 1 frequency accumulators.
     TLweSample cmux_diff;             ///< d1 - d0 buffer for TGswCMux.
 };
@@ -91,16 +99,30 @@ void TGswExternalProduct(TLweSample& result, const TGswSampleFft& c,
 /**
  * Batched external product: result[lane] = C x samples[lane] for b
  * independent TLWE samples against ONE shared TGSW sample. Each lane runs
- * the scalar FFT kernel on its own buffers; the loop order (ci, j, lane)
- * reads every frequency-domain key row from memory once per batch, and the
- * other lanes find it in cache. Each lane accumulates in the scalar
- * (ci, j, col) order, so the result is TGswExternalProduct's word for word.
+ * the scalar kernel on its own buffers; the multiply-accumulate runs slot
+ * block by slot block with the lanes inner, so every block of the
+ * frequency-domain key is read from memory once per batch and the other
+ * lanes find it in L1. Each lane sums in the scalar (ci, j) row order, so
+ * the result is TGswExternalProduct's word for word.
  */
 void TGswExternalProductBatch(std::vector<TLweSample>& result,
                               const TGswSampleFft& c,
                               const std::vector<TLweSample>& samples,
                               int32_t b, const NegacyclicFft& fft,
                               BatchExternalProductScratch& scratch);
+
+/**
+ * The blind rotation's CMUX on lanes [0, b) against one TGSW sample:
+ * accs[l] <- CMUX(C, X^rot[l] * accs[l], accs[l])
+ *          = accs[l] + C x ((X^rot[l] - 1) * accs[l]).
+ * The decomposition reads the rotation difference straight from accs[l]
+ * and the inverse transform adds the product into it, so no staging
+ * sample is written. Each lane's words equal TLweMulByXai, SubTo,
+ * TGswExternalProduct and AddTo in turn. `lanes` points at b scratches.
+ */
+void TGswRotateCMux(TLweSample* accs, const int32_t* rot, int32_t b,
+                    const TGswSampleFft& c, const NegacyclicFft& fft,
+                    ExternalProductScratch* lanes);
 
 /**
  * result = d0 + C x (d1 - d0): selects d1 when C encrypts 1, d0 when C

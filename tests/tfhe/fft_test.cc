@@ -6,6 +6,7 @@
 #include <complex>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "tfhe/fft_batch_kernels.h"
 #include "tfhe/rng.h"
@@ -250,19 +251,32 @@ TEST(Fft, EveryTierMatchesPortableWordForWord) {
             }
         }
         FreqPolynomial fwd_want = digits, inv_in = spectrum, sum_want = acc;
-        TorusPolynomial inv_want(n);
+        TorusPolynomial inv_want(n), add_want(n);
+        for (auto& c : add_want.coefs) c = rng.UniformTorus32();
+        const TorusPolynomial add_base = add_want;
         portable.forward(plan, fwd_want.Re(), fwd_want.Im());
+        FreqPolynomial add_in = inv_in;
         portable.inverse(plan, inv_in.Re(), inv_in.Im(),
                          inv_want.coefs.data());
+        portable.inverse_add(plan, add_in.Re(), add_in.Im(),
+                             add_want.coefs.data());
+        for (int32_t j = 0; j < n; ++j)
+            EXPECT_EQ(add_want.coefs[j],
+                      static_cast<Torus32>(add_base.coefs[j] +
+                                           inv_want.coefs[j]))
+                << "portable inverse_add, N=" << n << " j=" << j;
         portable.add_mul(sum_want.Re(), sum_want.Im(), a.Re(), a.Im(),
                          b.Re(), b.Im(), h);
         for (const auto& [name, tier] : tiers) {
             // Below min_half the plan runs the portable body instead.
             if (h < tier->min_half) continue;
             FreqPolynomial fwd = digits, inv = spectrum, sum = acc;
-            TorusPolynomial inv_got(n);
+            FreqPolynomial add = spectrum;
+            TorusPolynomial inv_got(n), add_got = add_base;
             tier->forward(plan, fwd.Re(), fwd.Im());
             tier->inverse(plan, inv.Re(), inv.Im(), inv_got.coefs.data());
+            tier->inverse_add(plan, add.Re(), add.Im(),
+                              add_got.coefs.data());
             tier->add_mul(sum.Re(), sum.Im(), a.Re(), a.Im(), b.Re(), b.Im(),
                           h);
             EXPECT_TRUE(SameWords(fwd.Re(), fwd_want.Re(), h) &&
@@ -273,9 +287,131 @@ TEST(Fft, EveryTierMatchesPortableWordForWord) {
                                   static_cast<size_t>(n) * sizeof(Torus32)),
                       0)
                 << name << " inverse, N=" << n;
+            EXPECT_EQ(add_got.coefs, add_want.coefs)
+                << name << " inverse_add, N=" << n;
             EXPECT_TRUE(SameWords(sum.Re(), sum_want.Re(), h) &&
                         SameWords(sum.Im(), sum_want.Im(), h))
                 << name << " add_mul, N=" << n;
+        }
+    }
+}
+
+TEST(Fft, EveryTierMatchesPortableForDigitsAndMulAccWordForWord) {
+    using batch_detail::FftKernel;
+    std::vector<std::pair<const char*, const FftKernel*>> tiers;
+    if (batch_detail::SimdAvailable())
+        tiers.emplace_back("avx2", &batch_detail::kAvx2Fft);
+    if (batch_detail::Simd512Available())
+        tiers.emplace_back("avx512f", &batch_detail::kAvx512Fft);
+    // No skip without a vector tier: the portable entries are also
+    // checked against their definitions.
+    const FftKernel& portable = batch_detail::kPortableFft;
+    Rng rng(33);
+    // (l, bg_bit) of the shipped sets plus a deep one; (rows, cols) of
+    // k = 1 at l = 3 and 4, k = 2, and more rows than one pointer block.
+    const std::pair<int32_t, int32_t> gadgets[] = {{3, 7}, {3, 8}, {4, 6},
+                                                   {10, 3}};
+    const std::pair<int32_t, int32_t> shapes[] = {{6, 2}, {8, 2}, {9, 3},
+                                                  {20, 1}};
+    for (int32_t n = 2; n <= 2048; n *= 2) {
+        const NegacyclicFft& plan = GetFftPlan(n);
+        const int32_t h = n / 2;
+        TorusPolynomial coefs(n);
+        for (auto& c : coefs.coefs) c = rng.UniformTorus32();
+        // Rotations: none (plain decompose), then on and around the wrap
+        // points, where a vector straddles the sign change.
+        const int32_t rots[] = {-1, 0, 1, 3, n - 1, n, n + 5, 2 * n - 1};
+        for (const auto& [l, bg_bit] : gadgets)
+            for (const int32_t rot : rots) {
+                const uint32_t offset = rng.UniformTorus32();
+                auto run = [&](const FftKernel& kernel,
+                               std::vector<FreqPolynomial>& dec) {
+                    if (rot < 0)
+                        kernel.forward_digits(plan, dec.data(),
+                                              coefs.coefs.data(), l, bg_bit,
+                                              offset);
+                    else
+                        kernel.forward_rotated_digits(
+                            plan, dec.data(), coefs.coefs.data(), rot, l,
+                            bg_bit, offset);
+                };
+                std::vector<FreqPolynomial> want(l, FreqPolynomial(h));
+                run(portable, want);
+                // The portable entry against digits packed by hand from
+                // (X^rot - 1) * coefs, then the plain forward transform.
+                TorusPolynomial src = coefs;
+                if (rot >= 0) {
+                    MulByXai(src, rot, coefs);
+                    src.SubTo(coefs);
+                }
+                for (int32_t j = 0; j < l; ++j) {
+                    const int32_t shift = 32 - bg_bit * (j + 1);
+                    auto digit = [&](int32_t p) {
+                        const uint32_t t = src.coefs[p] + offset;
+                        return static_cast<double>(
+                            static_cast<int32_t>((t >> shift) &
+                                                 ((1u << bg_bit) - 1)) -
+                            (1 << (bg_bit - 1)));
+                    };
+                    FreqPolynomial packed(h);
+                    for (int32_t p = 0; p < h; ++p) {
+                        packed.Re()[p] = digit(p);
+                        packed.Im()[p] = digit(p + h);
+                    }
+                    portable.forward(plan, packed.Re(), packed.Im());
+                    EXPECT_TRUE(SameWords(packed.Re(), want[j].Re(), h) &&
+                                SameWords(packed.Im(), want[j].Im(), h))
+                        << "portable forward_digits, N=" << n << " l=" << l
+                        << " rot=" << rot << " digit " << j;
+                }
+                for (const auto& [name, tier] : tiers) {
+                    if (h < tier->min_half) continue;
+                    std::vector<FreqPolynomial> got(l, FreqPolynomial(h));
+                    run(*tier, got);
+                    for (int32_t j = 0; j < l; ++j)
+                        EXPECT_TRUE(SameWords(got[j].Re(), want[j].Re(), h) &&
+                                    SameWords(got[j].Im(), want[j].Im(), h))
+                            << name << " forward_digits, N=" << n << " l=" << l
+                            << " rot=" << rot << " digit " << j;
+                }
+            }
+        for (const auto& [rows, cols] : shapes) {
+            std::vector<FreqPolynomial> dec(rows, FreqPolynomial(h));
+            std::vector<std::vector<FreqPolynomial>> key(
+                rows, std::vector<FreqPolynomial>(cols, FreqPolynomial(h)));
+            for (int32_t r = 0; r < rows; ++r)
+                for (int32_t j = 0; j < h; ++j) {
+                    dec[r].Re()[j] = RandomDouble(rng, 20);
+                    dec[r].Im()[j] = RandomDouble(rng, 20);
+                    for (FreqPolynomial& f : key[r]) {
+                        f.Re()[j] = RandomDouble(rng, 30);
+                        f.Im()[j] = RandomDouble(rng, 30);
+                    }
+                }
+            // The portable entry over the whole range, and over two
+            // halves, against AddMul on cleared accumulators.
+            std::vector<FreqPolynomial> want(cols, FreqPolynomial(h));
+            for (int32_t c = 0; c < cols; ++c)
+                for (int32_t r = 0; r < rows; ++r)
+                    portable.add_mul(want[c].Re(), want[c].Im(), dec[r].Re(),
+                                     dec[r].Im(), key[r][c].Re(),
+                                     key[r][c].Im(), h);
+            std::vector<std::pair<const char*, const FftKernel*>> all = tiers;
+            all.emplace_back("portable", &portable);
+            for (const auto& [name, tier] : all) {
+                if (h < tier->min_half) continue;
+                std::vector<FreqPolynomial> got(cols, FreqPolynomial(h));
+                const int32_t mid = h > tier->min_half ? h / 2 : h;
+                tier->mul_acc(got.data(), dec.data(), key.data(), rows, cols,
+                              0, mid);
+                tier->mul_acc(got.data(), dec.data(), key.data(), rows, cols,
+                              mid, h);
+                for (int32_t c = 0; c < cols; ++c)
+                    EXPECT_TRUE(SameWords(got[c].Re(), want[c].Re(), h) &&
+                                SameWords(got[c].Im(), want[c].Im(), h))
+                        << name << " mul_acc, N=" << n << " rows=" << rows
+                        << " column " << c;
+            }
         }
     }
 }

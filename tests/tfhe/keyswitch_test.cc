@@ -14,8 +14,10 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "tfhe/fft_batch_kernels.h"
 #include "tfhe/noise.h"
 #include "tfhe/params.h"
 #include "tfhe/tlwe.h"
@@ -180,6 +182,49 @@ TEST(KeySwitch, BatchMatchesOneLaneCallsAcrossLaneGroups) {
             EXPECT_EQ(batched[l].a, single[l].a) << "b=" << b << " " << l;
             EXPECT_EQ(batched[l].b, single[l].b) << "b=" << b << " " << l;
             EXPECT_EQ(batched[l].b, ReferenceKeySwitch(ksk, in[l]).b);
+        }
+    }
+}
+
+TEST(KeySwitch, EveryTierWalkMatchesPortableWordForWord) {
+    using batch_detail::FftKernel;
+    std::vector<std::pair<const char*, const FftKernel*>> tiers;
+    if (batch_detail::SimdAvailable())
+        tiers.emplace_back("avx2", &batch_detail::kAvx2Fft);
+    if (batch_detail::Simd512Available())
+        tiers.emplace_back("avx512f", &batch_detail::kAvx512Fft);
+    if (tiers.empty()) GTEST_SKIP() << "no vector tier on this host";
+    for (const Params& p : {ToyParams(), Tfhe128Params()}) {
+        KskFixture f(p, 15);
+        Rng rng(16);
+        const KeySwitchKey& ksk = f.ksk;
+        // Rows are n_out + 1 words padded to a multiple of 16.
+        const batch_detail::KeySwitchSlab slab{
+            ksk.Row(0, 0, 1), (static_cast<size_t>(p.n) + 16) / 16 * 16,
+            ksk.InputN(), ksk.OutputN(), ksk.T(), ksk.BaseBit()};
+        for (int32_t b : {1, 3, 8}) {
+            std::vector<LweSample> in, want, got;
+            for (int32_t l = 0; l < b; ++l) {
+                in.push_back(UniformSample(f.in_key.N(), rng));
+                want.push_back(UniformSample(p.n, rng));
+            }
+            std::vector<LweView> want_views;
+            for (LweSample& s : want) want_views.push_back(ViewOf(s));
+            batch_detail::kPortableFft.ks_walk(slab, in.data(),
+                                               want_views.data(), b);
+            EXPECT_EQ(want[0].b, ReferenceKeySwitch(ksk, in[0]).b);
+            for (const auto& [name, tier] : tiers) {
+                got.assign(b, LweSample(p.n));
+                std::vector<LweView> views;
+                for (LweSample& s : got) views.push_back(ViewOf(s));
+                tier->ks_walk(slab, in.data(), views.data(), b);
+                for (int32_t l = 0; l < b; ++l) {
+                    EXPECT_EQ(got[l].a, want[l].a)
+                        << name << " " << p.name << " b=" << b << " " << l;
+                    EXPECT_EQ(got[l].b, want[l].b)
+                        << name << " " << p.name << " b=" << b << " " << l;
+                }
+            }
         }
     }
 }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+#include <vector>
+
 #include "tfhe/params.h"
 
 namespace pytfhe::tfhe {
@@ -157,6 +161,146 @@ TEST_F(TGswTest, ExternalProductOnPolynomialMessage) {
     for (int32_t i = 0; i < 8; ++i)
         EXPECT_LT(TorusDistance(phase.coefs[i * 4], msg.coefs[i * 4]), 1e-4)
             << i;
+}
+
+/**
+ * The external product composed from public primitives, one lane: the
+ * reference decomposition, one forward transform per digit polynomial,
+ * AddMul in (ci, j) row order on cleared accumulators, and the inverse.
+ */
+TLweSample ComposedExternalProduct(const TGswSampleFft& c,
+                                   const TLweSample& sample,
+                                   const NegacyclicFft& fft) {
+    const int32_t k = sample.K();
+    std::vector<IntPolynomial> dec;
+    TGswDecompose(dec, sample, c.l, c.bg_bit);
+    std::vector<FreqPolynomial> spectra(dec.size());
+    for (size_t r = 0; r < dec.size(); ++r) fft.Forward(spectra[r], dec[r]);
+    TLweSample out(sample.BigN(), k);
+    for (int32_t col = 0; col <= k; ++col) {
+        FreqPolynomial acc(fft.Half());
+        acc.Clear();
+        for (int32_t ci = 0; ci <= k; ++ci)
+            for (int32_t j = 0; j < c.l; ++j)
+                acc.AddMul(spectra[ci * c.l + j], c.rows[ci * c.l + j][col]);
+        fft.InverseInPlace(out.a[col], acc);
+    }
+    return out;
+}
+
+bool SameWords(const TLweSample& a, const TLweSample& b) {
+    if (a.K() != b.K() || a.BigN() != b.BigN()) return false;
+    for (int32_t c = 0; c <= a.K(); ++c)
+        if (std::memcmp(a.a[c].coefs.data(), b.a[c].coefs.data(),
+                        a.BigN() * sizeof(Torus32)) != 0)
+            return false;
+    return true;
+}
+
+/**
+ * TGswExternalProduct and TGswExternalProductBatch (b = 1..8, one lane an
+ * all-zero sample) against ComposedExternalProduct, word for word.
+ */
+void ExpectProductsMatchComposition(const Params& p, uint64_t seed) {
+    Rng rng(seed);
+    const TLweKey key(p.big_n, p.k, rng);
+    const NegacyclicFft& fft = GetFftPlan(p.big_n);
+    const TGswSampleFft c = TGswToFft(
+        TGswEncrypt(1, p.bk_l, p.bk_bg_bit, p.tlwe_noise_stddev, key, rng),
+        fft);
+    std::vector<TLweSample> samples;
+    for (int32_t lane = 0; lane < 8; ++lane) {
+        TLweSample s(p.big_n, p.k);
+        if (lane != 5)
+            for (auto& poly : s.a)
+                for (auto& x : poly.coefs) x = rng.UniformTorus32();
+        samples.push_back(std::move(s));
+    }
+    std::vector<TLweSample> want;
+    for (const TLweSample& s : samples)
+        want.push_back(ComposedExternalProduct(c, s, fft));
+
+    ExternalProductScratch scratch;
+    for (int32_t lane = 0; lane < 8; ++lane) {
+        TLweSample got;
+        TGswExternalProduct(got, c, samples[lane], fft, &scratch);
+        EXPECT_TRUE(SameWords(got, want[lane])) << p.name << " lane " << lane;
+    }
+    BatchExternalProductScratch batch;
+    for (int32_t b = 1; b <= 8; ++b) {
+        std::vector<TLweSample> got;
+        TGswExternalProductBatch(got, c, samples, b, fft, batch);
+        for (int32_t lane = 0; lane < b; ++lane)
+            EXPECT_TRUE(SameWords(got[lane], want[lane]))
+                << p.name << " b=" << b << " lane " << lane;
+    }
+}
+
+/**
+ * TGswRotateCMux (b = 1..8) against TLweMulByXai, SubTo,
+ * ComposedExternalProduct and AddTo, word for word, at rotations on and
+ * around the wrap points.
+ */
+void ExpectRotateCMuxMatchesComposition(const Params& p, uint64_t seed) {
+    Rng rng(seed);
+    const TLweKey key(p.big_n, p.k, rng);
+    const NegacyclicFft& fft = GetFftPlan(p.big_n);
+    const TGswSampleFft c = TGswToFft(
+        TGswEncrypt(1, p.bk_l, p.bk_bg_bit, p.tlwe_noise_stddev, key, rng),
+        fft);
+    const int32_t n = p.big_n;
+    std::vector<TLweSample> accs;
+    for (int32_t lane = 0; lane < 8; ++lane) {
+        TLweSample s(n, p.k);
+        for (auto& poly : s.a)
+            for (auto& x : poly.coefs) x = rng.UniformTorus32();
+        accs.push_back(std::move(s));
+    }
+    const int32_t rot[8] = {0, 1, n - 1, n, n + 3, 2 * n - 1, 5, 77};
+    std::vector<TLweSample> want;
+    for (int32_t lane = 0; lane < 8; ++lane) {
+        TLweSample diff(n, p.k);
+        TLweMulByXai(diff, rot[lane], accs[lane]);
+        diff.SubTo(accs[lane]);
+        TLweSample w = accs[lane];
+        w.AddTo(ComposedExternalProduct(c, diff, fft));
+        want.push_back(std::move(w));
+    }
+    std::vector<ExternalProductScratch> lanes(8);
+    for (int32_t b = 1; b <= 8; ++b) {
+        std::vector<TLweSample> got = accs;
+        TGswRotateCMux(got.data(), rot, b, c, fft, lanes.data());
+        for (int32_t lane = 0; lane < 8; ++lane)
+            EXPECT_TRUE(SameWords(got[lane], lane < b ? want[lane]
+                                                      : accs[lane]))
+                << p.name << " b=" << b << " lane " << lane;
+    }
+}
+
+TEST(TGswOracle, ExternalProductMatchesPrimitiveCompositionToy) {
+    ExpectProductsMatchComposition(ToyParams(), 43);
+    ExpectProductsMatchComposition(ToyMultibitParams(), 44);
+}
+
+TEST(TGswOracle, ExternalProductMatchesPrimitiveCompositionTfhe128) {
+    ExpectProductsMatchComposition(Tfhe128Params(), 45);
+}
+
+TEST(TGswOracle, ExternalProductMatchesPrimitiveCompositionMultibit128) {
+    ExpectProductsMatchComposition(MultibitParams(), 46);
+}
+
+TEST(TGswOracle, RotateCMuxMatchesPrimitiveCompositionToy) {
+    ExpectRotateCMuxMatchesComposition(ToyParams(), 47);
+    ExpectRotateCMuxMatchesComposition(ToyMultibitParams(), 48);
+}
+
+TEST(TGswOracle, RotateCMuxMatchesPrimitiveCompositionTfhe128) {
+    ExpectRotateCMuxMatchesComposition(Tfhe128Params(), 49);
+}
+
+TEST(TGswOracle, RotateCMuxMatchesPrimitiveCompositionMultibit128) {
+    ExpectRotateCMuxMatchesComposition(MultibitParams(), 50);
 }
 
 }  // namespace
